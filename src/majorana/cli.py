@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -54,7 +55,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _load_state(path: str) -> SymmetricState:
@@ -73,16 +74,18 @@ def _load_config(path: str) -> MajoranaConfig:
 
 def _tolerance(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return args.tol
-    raw = os.environ.get("MAJORANA_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise SchemaError("$MAJORANA_TOL", f"not a number: {raw!r}") from exc
-    if value <= 0:
-        raise SchemaError("$MAJORANA_TOL", "tolerance must be positive")
+        source, value = "--tol", args.tol
+    else:
+        raw = os.environ.get("MAJORANA_TOL")
+        if raw is None:
+            return DEFAULT_TOL
+        source = "$MAJORANA_TOL"
+        try:
+            value = float(raw)
+        except ValueError as exc:
+            raise SchemaError(source, f"not a number: {raw!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise SchemaError(source, f"tolerance must be finite and positive, got {value!r}")
     return value
 
 

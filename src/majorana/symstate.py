@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.transform import Rotation as _SciRotation
 
 from ._roots import MAX_DEGREE, effective_degree, polynomial_roots
 
@@ -73,8 +71,10 @@ def _canonical_points(points: np.ndarray) -> np.ndarray:
 class SymmetricState:
     """Normalized Dicke-amplitude vector for n qubits.
 
-    The constructor rescales to unit norm (rejecting the zero vector), so
-    every instance satisfies sum |a_k|^2 = 1 to machine precision.
+    The constructor rescales to unit norm (rejecting the zero vector and
+    non-finite entries), so every instance satisfies sum |a_k|^2 = 1 to
+    machine precision.  It divides by the largest real or imaginary part
+    first, so amplitudes near the float range normalize without overflow.
     """
 
     n: int
@@ -87,9 +87,14 @@ class SymmetricState:
         if amps.shape != (self.n + 1,):
             raise ValueError(
                 f"expected {self.n + 1} amplitudes for n={self.n}, got shape {amps.shape}")
+        scale = float(np.max(np.maximum(np.abs(amps.real), np.abs(amps.imag))))
+        if not np.isfinite(scale):
+            raise ValueError("amplitudes must be finite")
+        if scale > 0.0:
+            amps = amps / scale
         norm = float(np.linalg.norm(amps))
-        if not np.isfinite(norm) or norm < 1e-12:
-            raise ValueError("amplitude vector must have nonzero finite norm")
+        if scale * norm < 1e-12:
+            raise ValueError("amplitude vector must have nonzero norm")
         amps = amps / norm
         amps.flags.writeable = False
         object.__setattr__(self, "n", int(self.n))
@@ -184,14 +189,39 @@ class Rotation:
 
     @staticmethod
     def from_matrix(mat) -> "Rotation":
-        rotvec = _SciRotation.from_matrix(np.asarray(mat, dtype=float)).as_rotvec()
-        angle = float(np.linalg.norm(rotvec))
+        """Axis and angle in [0, pi] of a rotation matrix.
+
+        The quaternion is read off the largest of the three diagonal entries
+        and the trace (Shepperd's method), so axes stay exact at angles near
+        pi; its sign is then fixed as w >= 0, and at w = 0 the first nonzero
+        of x, y, z positive.
+        """
+        m = np.asarray(mat, dtype=float).reshape(3, 3).tolist()
+        decision = [m[0][0], m[1][1], m[2][2], m[0][0] + m[1][1] + m[2][2]]
+        i = max(range(4), key=decision.__getitem__)
+        if i == 3:
+            q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1.0 + decision[3]]
+        else:
+            j, k = (i + 1) % 3, (i + 2) % 3
+            q = [0.0] * 4
+            q[i] = 1.0 - decision[3] + 2.0 * m[i][i]
+            q[j] = m[j][i] + m[i][j]
+            q[k] = m[k][i] + m[i][k]
+            q[3] = m[k][j] - m[j][k]
+        if next((c for c in (q[3], q[0], q[1], q[2]) if c != 0.0), 1.0) < 0.0:
+            q = [-c for c in q]
+        norm = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
+        angle = 2.0 * math.atan2(norm, q[3])
         if angle < 1e-15:
             return Rotation.identity()
-        return Rotation(rotvec / angle, angle)
+        return Rotation(np.array(q[:3]) / norm, angle)
 
     def matrix(self) -> np.ndarray:
-        return _SciRotation.from_rotvec(self.angle * self.axis).as_matrix()
+        """Rodrigues: I + sin(a) K + 2 sin^2(a/2) K^2, K the axis's cross-product matrix."""
+        x, y, z = self.axis
+        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        return (np.eye(3) + math.sin(self.angle) * k
+                + 2.0 * math.sin(0.5 * self.angle) ** 2 * (k @ k))
 
     def apply(self, vecs) -> np.ndarray:
         """Rotate one or many 3-vectors."""
@@ -334,14 +364,28 @@ def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[n
 def config_close(a: MajoranaConfig, b: MajoranaConfig, tol: float = 1e-8) -> bool:
     """Whether two configurations match as multisets within angular `tol`.
 
-    Uses optimal assignment, so coincident-point orderings cannot cause
-    spurious mismatches.
+    True exactly when the points of `a` can be paired one-to-one with those
+    of `b` so that every pair is at most `tol` apart: a perfect matching on
+    the graph of such pairs, found by augmenting paths.  Neither the order
+    of coincident points nor an assignment that is cheaper in total but has
+    one long pair can cause a spurious mismatch.
     """
     if a.n != b.n:
         return False
-    cost = pairwise_angles_cross(a.unit_vectors(), b.unit_vectors())
-    rows, cols = linear_sum_assignment(cost)
-    return bool(cost[rows, cols].max() <= tol)
+    near = pairwise_angles_cross(a.unit_vectors(), b.unit_vectors()) <= tol
+    candidates = [np.flatnonzero(row).tolist() for row in near]
+    partner = [-1] * b.n  # partner[j]: the point of `a` paired with point j of `b`
+
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in candidates[i]:
+            if not seen[j]:
+                seen[j] = True
+                if partner[j] < 0 or augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, [False] * b.n) for i in range(a.n))
 
 
 def pairwise_angles_cross(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -384,13 +428,19 @@ def to_json_dict(obj: SymmetricState | MajoranaConfig) -> dict:
 
 
 def to_json_text(obj: SymmetricState | MajoranaConfig) -> str:
-    return json.dumps(to_json_dict(obj))
+    return json.dumps(to_json_dict(obj), allow_nan=False)
 
 
 def _require_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def parse_json_dict(data) -> SymmetricState | MajoranaConfig:
@@ -442,6 +492,6 @@ def parse_json_dict(data) -> SymmetricState | MajoranaConfig:
 def parse_json_text(text: str) -> SymmetricState | MajoranaConfig:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to read
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     return parse_json_dict(data)

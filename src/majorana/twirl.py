@@ -3,7 +3,8 @@ certificate.
 
 Everything lives in the (n+1)-dimensional symmetric subspace: product
 states along a direction are the coherent vectors, rotations act through
-the spin-n/2 representation (matrix exponential of the spin operators),
+the spin-n/2 representation (exp(-i alpha n.J), built from a diagonal
+Jz phase and a cached eigenbasis of Jy),
 and averaging a maximizing product state over the detected symmetry group
 yields an invariant separable operator omega.  If the residual
 Delta = (omega - Lambda |psi><psi|) / (1 - Lambda) is a density matrix
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .entanglement import EntanglementResult
 from .symmetry import O2, SO2, SO3, TRIVIAL, SymmetryReport
@@ -64,13 +64,33 @@ def spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
+@lru_cache(maxsize=64)
+def _jy_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (snapped to the exact -n/2..n/2) and eigenvectors of Jy."""
+    values, vectors = np.linalg.eigh(spin_matrices(n)[1])
+    values = np.round(2.0 * values) / 2.0
+    for arr in (values, vectors):
+        arr.flags.writeable = False
+    return values, vectors
+
+
 def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
-    """Unitary action of a sphere rotation on the n-qubit symmetric subspace."""
+    """Unitary action of a sphere rotation on the n-qubit symmetric subspace.
+
+    exp(-i alpha n.J) = A exp(-i alpha Jz) A^dagger with
+    A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the axis's angles: A
+    carries +z onto the axis.  Jz is diagonal and exp(-i theta Jy) comes
+    from Jy's eigenbasis, so no matrix exponential is needed.
+    """
     if n > 64:
         raise ValueError(f"qubit count {n} exceeds supported maximum 64")
-    jx, jy, jz = spin_matrices(n)
-    generator = r.axis[0] * jx + r.axis[1] * jy + r.axis[2] * jz
-    return expm(-1j * r.angle * generator)
+    x, y, z = r.axis
+    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+    m = n / 2.0 - np.arange(n + 1)
+    values, vectors = _jy_eigenbasis(n)
+    small_d = (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T
+    align = np.exp(-1j * phi * m)[:, None] * small_d
+    return (align * np.exp(-1j * r.angle * m)) @ align.conj().T
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,14 @@
 """End-to-end command behavior: pipelines, exit codes, determinism."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import majorana
 
 from majorana.cli import main
 
@@ -144,6 +150,35 @@ def test_exit_code_schema_error(capsys, tmp_path):
     assert run(capsys, "entangle", "-i", str(missing))[0] == 2
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_exit_code_non_finite_input(capsys, tmp_path, literal):
+    angles = tmp_path / "angles.json"
+    angles.write_text('{"n": 4, "majorana": [{"theta": %s, "phi": 0.0}, '
+                      '{"theta": 2.0, "phi": 0.0}, {"theta": 2.0, "phi": 2.1}, '
+                      '{"theta": 2.0, "phi": 4.2}], "phase": 0.0}' % literal)
+    amps = tmp_path / "amps.json"
+    amps.write_text('{"n": 2, "dicke": [{"re": 1, "im": 0}, {"re": 0, "im": %s}, '
+                    '{"re": 1, "im": 0}]}' % literal)
+    for path in (angles, amps):
+        for argv in (["symmetry"], ["convert", "--to", "dicke"],
+                     ["convert", "--to", "majorana"], ["entangle"]):
+            code, out, err = run(capsys, *argv, "-i", str(path))
+            assert code == 2, (argv, path.name)
+            assert out == ""
+            assert "finite" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy costs about half a second of import; nothing on the CLI path needs it
+    script = ("import sys, majorana.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(majorana.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_exit_code_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "gen", "dicke", "--n", "4")[0] == 2
@@ -154,6 +189,12 @@ def test_tol_environment_override(capsys, tmp_path, monkeypatch):
     run(capsys, "gen", "ghz", "--n", "4", "-o", str(state))
     monkeypatch.setenv("MAJORANA_TOL", "not-a-number")
     assert run(capsys, "symmetry", "-i", str(state))[0] == 2
+    for bad in ("nan", "inf", "0", "-1e-6"):
+        monkeypatch.setenv("MAJORANA_TOL", bad)
+        assert run(capsys, "symmetry", "-i", str(state))[0] == 2
+        assert run(capsys, "symmetry", "-i", str(state), "--tol", "1e-6")[0] == 0
+        monkeypatch.delenv("MAJORANA_TOL")
+        assert run(capsys, "symmetry", "-i", str(state), f"--tol={bad}")[0] == 2
     monkeypatch.setenv("MAJORANA_TOL", "1e-8")
     code, out, _ = run(capsys, "symmetry", "-i", str(state))
     assert code == 0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majorana import (
     MajoranaConfig,
@@ -16,6 +17,7 @@ from majorana import (
     make_state,
     overlap_product,
     pairwise_angles,
+    parse_json_dict,
     parse_json_text,
     random_symmetric_state,
     rotate,
@@ -46,6 +48,77 @@ def test_state_validation():
         SymmetricState(0, np.ones(1))
     s = make_state([3.0, 4.0])
     assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-14
+
+
+def test_state_accepts_amplitudes_near_float_range():
+    s = make_state([1e308, 1e308])
+    np.testing.assert_allclose(s.amps, [2 ** -0.5, 2 ** -0.5], rtol=1e-15)
+    s = make_state([complex(1.5e308, 1.5e308), 0.0, -1e308])
+    assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-14
+    np.testing.assert_allclose(s.amps[0] / s.amps[2], complex(-1.5, -1.5), rtol=1e-14)
+    payload = {"n": 1, "dicke": [{"re": 1e308, "im": 0}, {"re": 1e308, "im": 0}]}
+    np.testing.assert_allclose(parse_json_text(json.dumps(payload)).amps,
+                               [2 ** -0.5, 2 ** -0.5], rtol=1e-15)
+    for bad in ([np.inf, 0.0], [np.nan, 1.0], [1e-13, 0.0]):
+        with pytest.raises(ValueError):
+            make_state(bad)
+
+
+def test_json_rejects_non_finite_numbers():
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+        text = '{"n": 1, "majorana": [{"theta": %s, "phi": 0.0}], "phase": 0.0}' % literal
+        with pytest.raises(SchemaError) as err:
+            parse_json_text(text)
+        assert err.value.path == "$.majorana[0].theta"
+        text = '{"n": 1, "dicke": [{"re": 1, "im": 0}, {"re": %s, "im": 0}]}' % literal
+        with pytest.raises(SchemaError) as err:
+            parse_json_text(text)
+        assert err.value.path == "$.dicke[1].re"
+    with pytest.raises(SchemaError) as err:
+        parse_json_text('{"n": 1' + "0" * 5000 + "}")
+    assert err.value.path == "$"
+
+
+_JUNK = st.one_of(st.integers(), st.integers(-(10 ** 400), 10 ** 400), st.booleans(),
+                  st.none(), st.text(max_size=2))
+
+
+@st.composite
+def _payloads(draw):
+    """Objects near the schema: mostly the right n, lengths and keys, with
+    any float (NaN and infinities included) or, now and then, a non-float."""
+    def value():
+        return draw(st.floats() if draw(st.integers(0, 9)) else _JUNK)
+
+    odd_n = st.one_of(st.integers(-1, 5), _JUNK)
+    n = draw(st.integers(1, 5) if draw(st.integers(0, 4)) else odd_n)
+    data = {"n": n}
+    forms = draw(st.sampled_from([("dicke",), ("majorana",), ("dicke", "majorana"), ()]))
+    for form in forms:
+        keys = ("re", "im") if form == "dicke" else ("theta", "phi")
+        size = draw(st.integers(0, 7))
+        if isinstance(n, int) and draw(st.integers(0, 4)):
+            size = max(n + (form == "dicke"), 0)
+        data[form] = [{key: value() for key in keys if draw(st.integers(0, 19))}
+                      for _ in range(size)]
+    if draw(st.booleans()):
+        data["phase"] = value()
+    return data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_payloads())
+def test_parse_json_dict_fuzz(data):
+    # only SchemaError escapes, and whatever parses is finite standard JSON
+    try:
+        parsed = parse_json_dict(data)
+    except SchemaError:
+        return
+    if isinstance(parsed, SymmetricState):
+        assert np.all(np.isfinite(parsed.amps))
+    else:
+        assert np.all(np.isfinite(parsed.points)) and math.isfinite(parsed.global_phase)
+    assert json.loads(to_json_text(parsed)) == to_json_dict(parsed)
 
 
 def test_state_amplitudes_frozen():
@@ -188,6 +261,15 @@ def test_config_close_permutation_and_perturbation():
     nudged = perturb_config(cfg, 2, 1e-3)
     assert not config_close(cfg, nudged, tol=1e-5)
     assert config_close(cfg, nudged, tol=1e-2)
+    # pair angles (1e-3 units): a0-b0 0, a0-b1 0.90, a1-b0 0.90, a1-b1 1.49.
+    # The least-total pairing takes the 1.49 pair; the crossed one is within tol.
+    turn = math.radians(112.0)
+    a = MajoranaConfig(2, np.array([[1.0, 0.5], [1.0009, 0.5]]))
+    b = MajoranaConfig(2, np.array([[1.0, 0.5], [1.0 + 0.0009 * math.cos(turn),
+                                                 0.5 + 0.0009 * math.sin(turn) / math.sin(1.0)]]))
+    assert config_close(a, b, tol=1e-3)
+    assert config_close(b, a, tol=1e-3)
+    assert not config_close(a, b, tol=8.9e-4)
 
 
 def test_config_equality_ignores_phase():

@@ -63,6 +63,24 @@ def test_wigner_matches_point_rotation():
         assert state_fidelity(via_wigner, via_points) > 1.0 - 1e-11
 
 
+def test_wigner_conjugates_spin_vector_like_the_rotation():
+    # D(R) (v.J) D(R)^dagger = (Rv).J for every n the package supports
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 8, 17, 33, 64):
+        jvec = np.stack(spin_matrices(n))
+        for angle in (0.0, 1e-9, 1.3, math.pi, 2 * math.pi - 1e-9, -2.5):
+            axis = rng.normal(size=3)
+            rot = Rotation(axis, angle)
+            v = rng.normal(size=3)
+            d = wigner_rotation(n, rot)
+            lhs = d @ np.tensordot(v, jvec, axes=1) @ d.conj().T
+            rhs = np.tensordot(rot.apply(v), jvec, axes=1)
+            np.testing.assert_allclose(lhs, rhs, atol=1e-11 * max(1, n))
+        for axis in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]):
+            d = wigner_rotation(n, Rotation(np.array(axis), 0.7))
+            np.testing.assert_allclose(d @ d.conj().T, np.eye(n + 1), atol=1e-12)
+
+
 def test_symmetric_operator_contract():
     with pytest.raises(ValueError):
         SymmetricOperator(1, np.array([[0.0, 1.0], [0.0, 0.0]]))
