@@ -127,7 +127,10 @@ def _cmd_entangle(args) -> int:
         result = geometric_measure(state, _optimizer_config(args))
     _write_json(args.output, {"lambda": result.lam, "eg_bits": result.eg,
                               "theta": result.theta, "phi": result.phi,
-                              "converged": result.converged})
+                              "converged": result.converged,
+                              "starts_used": result.starts_used,
+                              "iterations": result.iterations,
+                              "max_gradient_norm": result.max_gradient_norm})
     return 0
 
 

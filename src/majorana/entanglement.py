@@ -8,9 +8,16 @@ supplies gradients and Hessians for the local refinement.
 
 `geometric_measure` runs batched multi-start ascent (deterministic lattice
 starts plus the antipodes of the configuration points plus seeded random
-extras) and polishes the winner with a Newton step in a tangent chart.
-`grid_oracle` is the independent check: exhaustive equal-area evaluation
-followed by one polish from the best cell.
+extras).  Each sweep moves only the starts still active; a start drops out
+once its tangent gradient is at most 1e-8, or once its value has gained at
+most 1e-9 of itself for three sweeps in a row.  Up to three winners within
+1e-3 of the best value and at least 1e-2 rad apart are then polished with
+Newton steps in a tangent chart, and the best polished one is returned.
+For n >= 3 the closest product states are the global maximizers, so a few
+distinct ascent winners suffice.  All values come from one coherent-state
+kernel, `symstate.coherent_matrix`.  `grid_oracle` is the independent
+check: a separable theta x phi evaluation on an equal-area grid followed by
+one polish from the best cell.
 """
 from __future__ import annotations
 
@@ -26,6 +33,7 @@ from .symstate import (
     binomial_weights,
     cluster_directions,
     coherent_amplitudes,
+    coherent_matrix,
     rotate_state,
     to_majorana,
     unit_to_angles,
@@ -35,6 +43,17 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Probability floor; p_i = 0 only exactly opposite a configuration point.
 _P_FLOOR = 1e-300
 _SNAP_ONE = 1e-14
+# Ascent stopping rule: a start drops out once its tangent gradient is at
+# most _ASCENT_GRADIENT_TOL, or once its value has gained at most
+# _STALL_GAIN of itself for _STALL_SWEEPS sweeps in a row.
+_ASCENT_GRADIENT_TOL = 1e-8
+_STALL_GAIN = 1e-9
+_STALL_SWEEPS = 3
+# Polish: at most _POLISH_COUNT ascent winners within _WINNER_WINDOW of the
+# best value and at least _WINNER_SEPARATION radians apart.
+_POLISH_COUNT = 3
+_WINNER_WINDOW = 1e-3
+_WINNER_SEPARATION = 1e-2
 
 
 @dataclass(frozen=True)
@@ -42,6 +61,11 @@ class OptimizerConfig:
     """Knobs for `geometric_measure`; defaults suit n up to a few dozen.
 
     `num_starts=None` resolves to max(32, n^2) for the state at hand.
+    `max_iterations` only caps the ascent sweeps: the ascent stops on its
+    own once every start has dropped out, which a start does when its
+    tangent gradient is at most 1e-8 or when its value has gained at most
+    1e-9 of itself for three sweeps in a row.  `tol_gradient` is the
+    gradient norm the Newton polish must reach for `converged`.
     """
 
     num_starts: int | None = None
@@ -67,6 +91,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class EntanglementResult:
+    """Lambda, E_G = -log2 Lambda and the maximizing direction.
+
+    `starts_used` counts ascent starts (grid cells for `grid_oracle`),
+    `iterations` the ascent sweeps run (0 when no ascent ran), and
+    `max_gradient_norm` is the final polish's gradient norm, which
+    `converged` compares with the polish tolerance.
+    """
+
     lam: float
     eg: float
     theta: float
@@ -74,10 +106,11 @@ class EntanglementResult:
     starts_used: int
     converged: bool
     max_gradient_norm: float
+    iterations: int
 
 
 def _make_result(lam: float, direction, starts_used: int, converged: bool,
-                 gradient_norm: float) -> EntanglementResult:
+                 gradient_norm: float, iterations: int) -> EntanglementResult:
     lam = min(float(lam), 1.0)
     if lam >= 1.0 - _SNAP_ONE:
         lam = 1.0
@@ -86,7 +119,7 @@ def _make_result(lam: float, direction, starts_used: int, converged: bool,
         eg = 0.0  # normalize -0.0
     theta, phi = float(direction[0]), float(direction[1])
     return EntanglementResult(lam, eg, theta, phi, int(starts_used),
-                              bool(converged), float(gradient_norm))
+                              bool(converged), float(gradient_norm), int(iterations))
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -100,14 +133,7 @@ def fibonacci_sphere(count: int) -> np.ndarray:
 
 def _overlap_sq(amps: np.ndarray, units: np.ndarray) -> np.ndarray:
     """|<product(u)|psi>|^2 for a batch of unit vectors, shape (S,)."""
-    n = len(amps) - 1
-    theta = np.arctan2(np.hypot(units[:, 0], units[:, 1]), units[:, 2])
-    phi = np.arctan2(units[:, 1], units[:, 0])
-    k = np.arange(n + 1)
-    c = np.cos(0.5 * theta)[:, None] ** (n - k)
-    s = (np.sin(0.5 * theta)[:, None] * np.exp(1j * phi)[:, None]) ** k
-    coh = binomial_weights(n) * c * s
-    return np.abs(coh.conj() @ amps) ** 2
+    return np.abs(coherent_matrix(len(amps) - 1, units).conj() @ amps) ** 2
 
 
 def _tangent_gradients(units: np.ndarray, mp_units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,27 +159,53 @@ def log_overlap_sq(state: SymmetricState, theta: float, phi: float) -> float:
 
 
 def _batch_ascend(amps: np.ndarray, mp_units: np.ndarray, units: np.ndarray,
-                  max_iterations: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive-step gradient ascent on all starts at once."""
+                  max_iterations: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Adaptive-step gradient ascent on all starts at once.
+
+    Each sweep steps only the active starts; see the stopping rule at the
+    module constants.  Returns the final units and values and the number of
+    sweeps run, at most `max_iterations`.
+    """
     units = units.copy()
     values = _overlap_sq(amps, units)
     eta = np.full(len(units), 0.25)
-    gnorm = np.full(len(units), np.inf)
-    for _ in range(max_iterations):
-        tangent, _ = _tangent_gradients(units, mp_units)
-        gnorm = np.linalg.norm(tangent, axis=1)
-        active = gnorm > tol
-        if not active.any():
+    stalls = np.zeros(len(units), dtype=int)
+    active = np.arange(len(units))
+    sweeps = 0
+    while sweeps < max_iterations:
+        tangent, _ = _tangent_gradients(units[active], mp_units)
+        moving = np.linalg.norm(tangent, axis=1) > _ASCENT_GRADIENT_TOL
+        active, tangent = active[moving], tangent[moving]
+        if active.size == 0:
             break
-        trial = units + eta[:, None] * tangent
+        sweeps += 1
+        trial = units[active] + eta[active, None] * tangent
         trial /= np.linalg.norm(trial, axis=1)[:, None]
         trial_values = _overlap_sq(amps, trial)
-        improved = (trial_values > values) & active
-        units[improved] = trial[improved]
-        values[improved] = trial_values[improved]
-        eta[improved] *= 1.5
-        eta[~improved & active] *= 0.4
-    return units, values, gnorm
+        gain = trial_values - values[active]
+        improved = gain > 0.0
+        moved = active[improved]
+        units[moved] = trial[improved]
+        eta[moved] *= 1.5
+        eta[active[~improved]] *= 0.4
+        stalled = gain <= _STALL_GAIN * values[active]
+        values[moved] = trial_values[improved]
+        stalls[active] = np.where(stalled, stalls[active] + 1, 0)
+        active = active[stalls[active] < _STALL_SWEEPS]
+    return units, values, sweeps
+
+
+def _distinct_winners(units: np.ndarray, values: np.ndarray) -> list[int]:
+    """Indices of up to _POLISH_COUNT starts within _WINNER_WINDOW of the
+    best value and pairwise at least _WINNER_SEPARATION apart, best first."""
+    order = np.argsort(-values, kind="stable")
+    candidates = order[values[order] >= values[order[0]] - _WINNER_WINDOW]
+    min_cos = math.cos(_WINNER_SEPARATION)
+    picked = []
+    while candidates.size and len(picked) < _POLISH_COUNT:
+        picked.append(int(candidates[0]))
+        candidates = candidates[units[candidates] @ units[candidates[0]] < min_cos]
+    return picked
 
 
 def _chart_basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,16 +324,19 @@ def geometric_measure(state: SymmetricState,
     cfg = OptimizerConfig() if cfg is None else cfg
     coherent = _coherent_direction(state.amps)
     if coherent is not None:
-        return _make_result(1.0, coherent, 0, True, 0.0)
+        return _make_result(1.0, coherent, 0, True, 0.0, 0)
     mp_units = to_majorana(state).unit_vectors()
     starts = _start_points(mp_units, state.n, cfg)
-    units, values, _ = _batch_ascend(state.amps, mp_units, starts,
-                                     cfg.max_iterations, 1e-8)
-    winner = int(np.argmax(values))
-    u, value, gnorm = _polish(state.amps, mp_units, units[winner], cfg.tol_gradient)
-    theta, phi = unit_to_angles(u)
-    return _make_result(value, (theta, phi), len(starts),
-                        gnorm <= cfg.tol_gradient, gnorm)
+    units, values, sweeps = _batch_ascend(state.amps, mp_units, starts,
+                                          cfg.max_iterations)
+    best_u, best_value, best_gnorm = None, -1.0, math.inf
+    for index in _distinct_winners(units, values):
+        u, value, gnorm = _polish(state.amps, mp_units, units[index], cfg.tol_gradient)
+        if value > best_value:
+            best_u, best_value, best_gnorm = u, value, gnorm
+    theta, phi = unit_to_angles(best_u)
+    return _make_result(best_value, (theta, phi), len(starts),
+                        best_gnorm <= cfg.tol_gradient, best_gnorm, sweeps)
 
 
 def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementResult:
@@ -315,7 +370,7 @@ def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementRes
             best_value, best_u, best_gnorm = value, u, gnorm
     direction = unit_to_angles(best_u)
     return _make_result(best_value, direction, resolution * resolution,
-                        best_gnorm <= 1e-10, best_gnorm)
+                        best_gnorm <= 1e-10, best_gnorm, 0)
 
 
 def eg_invariance_check(state: SymmetricState, r: Rotation,

@@ -105,10 +105,11 @@ class SymmetricState:
 class MajoranaConfig:
     """Multiset of n sphere points plus a tracked global phase.
 
-    Points are stored canonically (wrapped angles, zero azimuth at the
-    poles, sorted by (theta, phi)), so two equal multisets compare equal
-    entrywise.  The phase makes `to_dicke` reproduce amplitudes exactly,
-    but it never participates in comparisons: states are rays.
+    Angles and phase must be finite.  Points are stored canonically
+    (wrapped angles, zero azimuth at the poles, sorted by (theta, phi)),
+    so two equal multisets compare equal entrywise.  The phase makes
+    `to_dicke` reproduce amplitudes exactly, but it never participates in
+    comparisons: states are rays.
     """
 
     n: int
@@ -121,11 +122,14 @@ class MajoranaConfig:
         pts = np.asarray(self.points, dtype=float)
         if pts.size != 2 * self.n:
             raise ValueError(f"expected {self.n} (theta, phi) pairs, got shape {pts.shape}")
+        phase = float(self.global_phase)
+        if not (np.all(np.isfinite(pts)) and math.isfinite(phase)):
+            raise ValueError("point angles and global phase must be finite")
         pts = _canonical_points(pts.reshape(self.n, 2))
         pts.flags.writeable = False
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "global_phase", float(self.global_phase) % TWO_PI)
+        object.__setattr__(self, "global_phase", phase % TWO_PI)
 
     def unit_vectors(self) -> np.ndarray:
         """All n points as unit vectors, shape (n, 3), in canonical order."""
@@ -316,12 +320,32 @@ def rotate_state(state: SymmetricState, r: Rotation) -> SymmetricState:
     return to_dicke(rotate(to_majorana(state), r))
 
 
+def coherent_matrix(n: int, units) -> np.ndarray:
+    """Dicke amplitudes of the n-fold product state along each unit vector.
+
+    Row s is sqrt(C(n,k)) c^(n-k) z^k for k = 0..n, with c = cos(theta/2)
+    and z = sin(theta/2) e^(i phi) of `units[s]`; shape (S, n+1).  Both
+    power sequences are cumulative products, so a batch of S directions
+    costs O(S n) multiplications and no pow calls.
+    """
+    theta, phi = unit_to_angles(np.reshape(units, (-1, 3)))
+    half = 0.5 * theta
+    z = np.empty((theta.size, n + 1), dtype=complex)
+    z[:, 0] = 1.0
+    z[:, 1:] = (np.sin(half) * np.exp(1j * phi))[:, None]
+    c = np.empty((theta.size, n + 1))
+    c[:, 0] = 1.0
+    c[:, 1:] = np.cos(half)[:, None]
+    np.cumprod(z, axis=1, out=z)
+    np.cumprod(c, axis=1, out=c)
+    z *= c[:, ::-1]
+    z *= binomial_weights(n)
+    return z
+
+
 def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:
     """Dicke amplitudes of the n-fold product of one qubit along (theta, phi)."""
-    k = np.arange(n + 1)
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta) * np.exp(1j * phi)
-    return binomial_weights(n) * c ** (n - k) * s ** k
+    return coherent_matrix(n, angles_to_unit(theta, phi))[0]
 
 
 def overlap_product(state: SymmetricState, theta: float, phi: float) -> complex:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import majorana
@@ -40,9 +41,28 @@ def test_gen_convert_entangle_pipeline(capsys, tmp_path):
     assert len(points["majorana"]) == 4
     assert run(capsys, "entangle", "-i", str(config), "-o", str(result))[0] == 0
     payload = json.loads(result.read_text())
-    assert set(payload) == {"lambda", "eg_bits", "theta", "phi", "converged"}
+    assert set(payload) == {"lambda", "eg_bits", "theta", "phi", "converged",
+                            "starts_used", "iterations", "max_gradient_norm"}
     assert abs(payload["lambda"] - 0.5) < 1e-9
     assert payload["converged"] is True
+
+
+def test_entangle_reports_ascent(capsys, tmp_path):
+    # the ascent stops on its own, well inside its sweep cap
+    cap = majorana.OptimizerConfig().max_iterations
+    ghz = tmp_path / "ghz.json"
+    run(capsys, "gen", "ghz", "--n", "4", "-o", str(ghz))
+    random20 = tmp_path / "r20.json"
+    state = majorana.random_symmetric_state(20, np.random.default_rng(0))
+    random20.write_text(majorana.to_json_text(state))
+    for path, starts in ((ghz, 32), (random20, 400)):
+        code, out, _ = run(capsys, "entangle", "-i", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] is True
+        assert payload["starts_used"] >= starts
+        assert 0 < payload["iterations"] < cap
+        assert 0.0 <= payload["max_gradient_norm"] <= 1e-10
 
 
 def test_entangle_oracle_flag(capsys, tmp_path):

@@ -85,6 +85,17 @@ def test_grid_oracle_agrees_with_optimizer():
         assert abs(fast.lam - slow.lam) < 1e-8, n
 
 
+def test_optimizer_matches_oracle_on_random_states():
+    # 112 seeded random states, four at each n = 3..30
+    rng = np.random.default_rng(2)
+    for i in range(112):
+        n = 3 + i % 28
+        state = random_symmetric_state(n, rng)
+        fast = geometric_measure(state)
+        assert fast.converged, (i, n)
+        assert abs(fast.lam - grid_oracle(state, 300).lam) <= 1e-8, (i, n)
+
+
 def test_grid_oracle_handles_pole_maximizer():
     # GHZ maximizers sit exactly at the poles, between grid cells
     result = grid_oracle(gen_ghz(5), resolution=40)

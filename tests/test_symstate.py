@@ -64,6 +64,15 @@ def test_state_accepts_amplitudes_near_float_range():
             make_state(bad)
 
 
+def test_config_rejects_non_finite_points_and_phase():
+    for points, phase in (([[np.nan, 0.0]], 0.0), ([[0.5, np.inf]], 0.0),
+                          ([[0.5, 1.0]], np.inf), ([[0.5, 1.0]], -np.inf),
+                          ([[0.5, 1.0]], np.nan)):
+        with pytest.raises(ValueError):
+            MajoranaConfig(1, points, phase)
+    assert MajoranaConfig(1, [[0.5, 1.0]], 7.0).global_phase == 7.0 % (2 * np.pi)
+
+
 def test_json_rejects_non_finite_numbers():
     for literal in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
         text = '{"n": 1, "majorana": [{"theta": %s, "phi": 0.0}], "phase": 0.0}' % literal
@@ -223,6 +232,22 @@ def test_coherent_amplitudes_normalized():
         phi = rng.uniform(0, 2 * np.pi)
         coh = coherent_amplitudes(7, theta, phi)
         assert abs(np.linalg.norm(coh) - 1.0) < 1e-12
+
+
+def test_coherent_matrix_matches_power_formula():
+    # the cumulative-product kernel against the direct pow formula
+    from majorana.symstate import angles_to_unit, binomial_weights, coherent_matrix
+    rng = np.random.default_rng(8)
+    theta = np.concatenate([[0.0, 1e-9, np.pi / 2, np.pi - 1e-9, np.pi],
+                            rng.uniform(0, np.pi, 20)])
+    phi = np.concatenate([[0.0, 1.0, 2.0, 3.0, 4.0], rng.uniform(0, 2 * np.pi, 20)])
+    for n in range(1, 65):
+        k = np.arange(n + 1)
+        expected = (binomial_weights(n) * np.cos(theta / 2)[:, None] ** (n - k)
+                    * (np.sin(theta / 2) * np.exp(1j * phi))[:, None] ** k)
+        rows = coherent_matrix(n, angles_to_unit(theta, phi))
+        np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(coherent_amplitudes(n, theta[7], phi[7]), rows[7])
 
 
 def test_pole_coherent_overlap_reads_off_amplitude():
