@@ -69,19 +69,15 @@ class OptimizerConfig:
     """
 
     num_starts: int | None = None
-    grid_resolution: int = 300
     tol_gradient: float = 1e-10
-    tol_value: float = 1e-12
     max_iterations: int = 300
     seed: int = 0
 
     def __post_init__(self):
         if self.num_starts is not None and self.num_starts < 1:
             raise ValueError("num_starts must be positive")
-        if self.grid_resolution < 8:
-            raise ValueError("grid_resolution must be at least 8")
-        if self.tol_gradient <= 0 or self.tol_value <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol_gradient <= 0:
+            raise ValueError("tol_gradient must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 

@@ -6,10 +6,14 @@ the configuration's point multiset.  Coincident points are first merged
 into weighted "sites".  Degenerate layouts (one site; all sites on one
 axis) are dispatched to the continuous groups directly.  Otherwise the
 finite group is assembled from candidate axes (site directions, pairwise
-sums, pairwise cross products), validated ring by ring, and closed under
-composition; the closure step matters because some high-order axes (for
-example the five-fold axes of a dodecahedral configuration) are not
-spanned by any single site or pair.
+sums, pairwise cross products), each validated ring by ring for its
+largest cyclic order.  The powers of the validated steps go into one
+growing stack of rotations, which is then closed breadth first: each
+rotation is multiplied by every step once, and a product is kept when no
+stored rotation lies within `mat_tol` (L1) of it and it maps the sites.
+The closure matters because some high-order axes (for example the
+five-fold axes of a dodecahedral configuration) are not spanned by any
+single site or pair.
 
 `is_totally_invariant` pattern-matches the configuration against a
 per-group catalog of points-on-axes layouts.  Cyclic groups never qualify
@@ -59,6 +63,10 @@ _LABELS = {TRIVIAL: "Trivial", TETRAHEDRAL: "T", OCTAHEDRAL: "O",
 # here differs by an angle of 2*pi/60, i.e. a Frobenius distance ~0.15).
 _MAT_TOL = 1e-3
 _CLOSURE_CAP = 240
+# Rows compared at once in `_first_on_each_line`, and queued rotations
+# multiplied at once in `_generate_group`.
+_AXIS_BLOCK = 128
+_CLOSURE_BATCH = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +103,9 @@ class SymmetryReport:
 
 
 def _canonical_axis(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))
-    return -v if v[idx] < 0 else v.copy()
+    """v, or each row of v, signed so that its largest-magnitude entry is positive."""
+    big = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return np.where(big < 0, -v, v)
 
 
 def _perpendicular(v: np.ndarray) -> np.ndarray:
@@ -133,135 +142,120 @@ def _candidate_axes(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarr
         # A rotation preserving the multiset fixes the weighted centroid, so
         # with a nonzero centroid only one axis can carry any symmetry.
         return _canonical_axis(centroid / np.linalg.norm(centroid))[None, :]
-    raw = [s for s in sites]
-    for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
-            for v in (sites[i] + sites[j], np.cross(sites[i], sites[j])):
-                norm = np.linalg.norm(v)
-                if norm > 1e-8:
-                    raw.append(v / norm)
-    threshold = math.cos(min(10.0 * tol, 0.1))
-    kept = np.empty((len(raw), 3))
-    count = 0
-    for v in raw:
-        v = _canonical_axis(v)
-        if count and np.any(np.abs(kept[:count] @ v) >= threshold):
-            continue
-        kept[count] = v
-        count += 1
-    return kept[:count]
+    i, j = np.triu_indices(len(sites), 1)
+    # Per pair (i < j, row-major): the sum, then the cross product.
+    pairs = np.stack([sites[i] + sites[j], np.cross(sites[i], sites[j])], axis=1).reshape(-1, 3)
+    norms = np.linalg.norm(pairs, axis=1)
+    raw = _canonical_axis(np.vstack([sites, pairs[norms > 1e-8] / norms[norms > 1e-8, None]]))
+    return raw[_first_on_each_line(raw, math.cos(min(10.0 * tol, 0.1)))]
 
 
-def _divisors_descending(g: int):
-    divs = [d for d in range(2, g + 1) if g % d == 0]
-    return sorted(divs, reverse=True)
+def _first_on_each_line(units: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the rows a greedy pass keeps: row i unless |units[i] . units[j]|
+    >= threshold for a kept j < i.  Blocks bound the Gram matrices; within
+    one, rows with no close earlier row are kept, rows close to those are
+    dropped, and only the rest need the loop."""
+    keep = np.zeros(len(units), dtype=bool)
+    for start in range(0, len(units), _AXIS_BLOCK):
+        block = units[start:start + _AXIS_BLOCK]
+        fresh = ~np.any(np.abs(block @ units[keep].T) >= threshold, axis=1)
+        rows = start + np.flatnonzero(fresh)
+        earlier = np.tril(np.abs(units[rows] @ units[rows].T) >= threshold, -1)
+        kept = ~earlier.any(axis=1)
+        for row in np.flatnonzero(~kept & ~(earlier & kept).any(axis=1)):
+            kept[row] = not np.any(earlier[row] & kept)
+        keep[rows] = kept
+    return keep
 
 
 def _ring_gcd(axis: np.ndarray, sites: np.ndarray, tol: float) -> int:
     """gcd of site counts over latitude rings; 0 when no off-axis site."""
     lat = sites @ axis
-    off_axis = np.abs(lat) < math.cos(tol)
-    if not off_axis.any():
-        return 0
-    values = np.sort(lat[off_axis])
-    g = 0
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > 2.0 * tol:
-            g = math.gcd(g, i - start)
-            start = i
-    return g
+    values = np.sort(lat[np.abs(lat) < math.cos(tol)])
+    ends = np.flatnonzero(np.diff(values) > 2.0 * tol) + 1
+    return math.gcd(*np.diff(ends, prepend=0, append=len(values)).tolist())
 
 
 def _max_cyclic_order(axis: np.ndarray, sites: np.ndarray, mult: np.ndarray,
                       tol: float, n: int) -> int:
-    g = _ring_gcd(axis, sites, tol)
-    if g < 2:
-        return 1
-    for m in _divisors_descending(min(g, n)):
-        mat = Rotation(axis, TWO_PI / m).matrix()
-        if _maps_sites(mat, sites, mult, tol):
+    top = min(_ring_gcd(axis, sites, tol), n)
+    for m in range(top, 1, -1):
+        if top % m == 0 and _maps_sites(Rotation(axis, TWO_PI / m).matrix(), sites, mult, tol):
             return m
     return 1
 
 
-def _is_known(mats: list[np.ndarray], candidate: np.ndarray,
-              mat_tol: float = _MAT_TOL) -> bool:
-    stack = np.array(mats)
-    return bool(np.min(np.abs(stack - candidate).sum(axis=(1, 2))) < mat_tol)
+def _generate_group(axes: np.ndarray, sites: np.ndarray, mult: np.ndarray,
+                    tol: float, n: int, mat_tol: float) -> np.ndarray:
+    """The rotations generated by the validated cyclic steps about `axes`,
+    identity first, as a (count, 3, 3) stack."""
+    found = np.empty((_CLOSURE_CAP + 1, 3, 3))
+    found[0] = np.eye(3)
+    count = 1
 
+    def extend(mats):
+        # Append, in order, each of `mats` at L1 distance >= mat_tol from all found
+        # rotations that still maps the sites (products drift).  L1 < mat_tol bounds
+        # the Euclidean distance, so |a|^2 + |b|^2 - 2 a.b < mat_tol^2 + 1e-12 screens.
+        nonlocal count
+        flat, known = mats.reshape(-1, 9), found[:count].reshape(-1, 9)
+        sq_dist = ((flat ** 2).sum(axis=1)[:, None] + (known ** 2).sum(axis=1)
+                   - 2.0 * flat @ known.T)
+        rows, cols = np.nonzero(sq_dist < mat_tol ** 2 + 1e-12)
+        novel = np.ones(len(flat), dtype=bool)
+        novel[rows[np.abs(flat[rows] - known[cols]).sum(axis=1) < mat_tol]] = False
+        start = count
+        for mat in mats[novel]:
+            appended = found[start:count].reshape(-1, 9)
+            if (count <= _CLOSURE_CAP
+                    and np.all(np.abs(appended - mat.ravel()).sum(axis=1) >= mat_tol)
+                    and _maps_sites(mat, sites, mult, tol)):
+                found[count] = mat
+                count += 1
 
-def _collect_rotations(axes: np.ndarray, sites: np.ndarray, mult: np.ndarray,
-                       tol: float, n: int, mat_tol: float) -> list[np.ndarray]:
-    mats = [np.eye(3)]
+    steps = []
     for axis in axes:
         m = _max_cyclic_order(axis, sites, mult, tol, n)
-        if m < 2:
-            continue
-        step = Rotation(axis, TWO_PI / m).matrix()
-        mat = np.eye(3)
-        for _ in range(m - 1):
-            mat = step @ mat
-            if not _is_known(mats, mat, mat_tol) and _maps_sites(mat, sites, mult, tol):
-                mats.append(mat)
-    return mats
+        if m >= 2:
+            steps.append(Rotation(axis, TWO_PI / m).matrix())
+            powers = [np.eye(3)]
+            for _ in range(m - 1):
+                powers.append(steps[-1] @ powers[-1])
+            extend(np.array(powers[1:]))
+    # Breadth-first closure, the stack doubling as the queue: each rotation,
+    # in the order found, is multiplied by every step once, a few rotations
+    # at a time to keep the temporaries small.
+    steps = np.reshape(steps, (-1, 3, 3))
+    head = 0
+    while head < count <= _CLOSURE_CAP:
+        batch = found[head:min(count, head + _CLOSURE_BATCH)]
+        head += len(batch)
+        extend((batch[:, None] @ steps).reshape(-1, 3, 3))
+    return found[:count]
 
 
-def _close_group(mats: list[np.ndarray], sites: np.ndarray, mult: np.ndarray,
-                 tol: float, mat_tol: float) -> list[np.ndarray]:
-    changed = True
-    while changed and len(mats) <= _CLOSURE_CAP:
-        changed = False
-        snapshot = list(mats)
-        for a in snapshot:
-            for b in snapshot:
-                prod = a @ b
-                if not _is_known(mats, prod, mat_tol):
-                    # Products of validated symmetries are symmetries;
-                    # re-check anyway to catch tolerance drift.
-                    if _maps_sites(prod, sites, mult, tol):
-                        mats.append(prod)
-                        changed = True
-            if len(mats) > _CLOSURE_CAP:
-                break
-    return mats
-
-
-def _axis_bins(rotations: list[Rotation], axis_tol: float = _MAT_TOL):
-    """Group nonidentity rotations by axis line; order = count + 1."""
-    bins: list[dict] = []
-    for rot in rotations:
-        axis = _canonical_axis(rot.axis)
-        for entry in bins:
-            if abs(float(entry["axis"] @ axis)) >= math.cos(axis_tol):
-                entry["count"] += 1
-                break
-        else:
-            bins.append({"axis": axis, "count": 1})
-    for entry in bins:
-        entry["order"] = entry["count"] + 1
+def _axis_bins(rotations, axis_tol: float = _MAT_TOL):
+    """Group nonidentity rotations by axis line; order = count + 1.  A
+    rotation joins the first-opened bin within `axis_tol` of its axis."""
+    if not rotations:
+        return []
+    axes = _canonical_axis(np.array([rot.axis for rot in rotations]))
+    threshold = math.cos(axis_tol)
+    heads = np.flatnonzero(_first_on_each_line(axes, threshold))
+    first = np.argmax(np.abs(axes @ axes[heads].T) >= threshold, axis=1)
+    counts = np.bincount(first, minlength=len(heads))
+    bins = [{"axis": axes[h], "count": int(c), "order": int(c) + 1}
+            for h, c in zip(heads, counts)]
     bins.sort(key=lambda e: (-e["order"], tuple(np.round(-e["axis"], 9))))
     return bins
 
 
-def _sorted_rotations(mats: list[np.ndarray],
-                      mat_tol: float = _MAT_TOL) -> tuple[list[Rotation], list[Rotation]]:
-    """(nonidentity rotations, all rotations) in a deterministic order."""
-    rotations = []
-    has_identity = False
-    for mat in mats:
-        if np.abs(mat - np.eye(3)).sum() < mat_tol:
-            has_identity = True
-            continue
-        rotations.append(Rotation.from_matrix(mat))
-    rotations.sort(key=lambda r: (round(r.angle, 9), tuple(np.round(r.axis, 9))))
-    everything = ([Rotation.identity()] if has_identity else []) + rotations
-    return rotations, everything
-
-
-def _classify(mats: list[np.ndarray], mat_tol: float = _MAT_TOL):
-    """Census of the closed rotation set -> (kind, order, principal, bins)."""
-    nonid, elements = _sorted_rotations(mats, mat_tol)
+def _classify(mats: np.ndarray, mat_tol: float = _MAT_TOL):
+    """Census of the closed rotation stack (identity first, nothing else within
+    `mat_tol` of it) -> (kind, order, principal, bins, elements)."""
+    nonid = sorted((Rotation.from_matrix(mat) for mat in mats[1:]),
+                   key=lambda r: (round(r.angle, 9), tuple(np.round(r.axis, 9))))
+    elements = [Rotation.identity()] + nonid
     if not nonid:
         return TRIVIAL, 0, None, [], elements
     bins = _axis_bins(nonid, mat_tol)
@@ -304,6 +298,7 @@ def _pick_generators(kind: str, order: int, principal: np.ndarray,
 def detect_group(config: MajoranaConfig, tol: float = 1e-6) -> SymmetryReport:
     """Largest rotation group permuting the configuration's point multiset."""
     sites, mult = _site_decomposition(config, tol)
+    bins = []
     if len(sites) == 1:
         report = SymmetryReport(SO3, 0, sites[0], (), (), False, "")
     elif len(sites) == 2 and float(sites[0] @ sites[1]) <= -math.cos(tol):
@@ -320,36 +315,33 @@ def detect_group(config: MajoranaConfig, tol: float = 1e-6) -> SymmetryReport:
         # error, so the dedupe threshold has to widen with them.
         mat_tol = max(_MAT_TOL, 4.0 * tol)
         axes = _candidate_axes(sites, mult, tol)
-        mats = _collect_rotations(axes, sites, mult, tol, config.n, mat_tol)
-        mats = _close_group(mats, sites, mult, tol, mat_tol)
+        mats = _generate_group(axes, sites, mult, tol, config.n, mat_tol)
         kind, order, principal, bins, elements = _classify(mats, mat_tol)
         generators = _pick_generators(kind, order, principal, bins, tuple(elements))
         report = SymmetryReport(kind, order, principal, generators,
                                 tuple(elements), False, "")
-    invariant, witness = is_totally_invariant(config, report, tol)
+    invariant, witness = _invariance(config.n, report, sites, mult, bins, tol)
     return replace(report, totally_invariant=invariant, witness=witness)
 
 
-def _ti_axial(config: MajoranaConfig, report: SymmetryReport, tol: float):
-    sites, mult = _site_decomposition(config, tol)
-    lat = sites @ report.axis
+def _ti_axial(n: int, axis: np.ndarray, sites: np.ndarray, mult: np.ndarray, tol: float):
+    lat = sites @ axis
     if np.any(np.abs(lat) < math.cos(tol)):
         return False, "an off-axis point breaks the polar pattern"
     north = int(mult[lat > 0].sum())
     south = int(mult.sum()) - north
-    return True, (f"all {config.n} points at the poles of the symmetry axis "
+    return True, (f"all {n} points at the poles of the symmetry axis "
                   f"({north} north, {south} south)")
 
 
-def _ti_dihedral(config: MajoranaConfig, report: SymmetryReport, tol: float):
+def _ti_dihedral(report: SymmetryReport, bins, sites: np.ndarray, mult: np.ndarray,
+                 tol: float):
     m = report.order
     candidates = [report.axis]
     if m == 2:
         # All three two-fold axes of D2 are interchangeable; any of them may
         # carry the polar pattern.
-        candidates = [b["axis"] for b in
-                      _axis_bins(list(report.elements[1:]))] or candidates
-    sites, mult = _site_decomposition(config, tol)
+        candidates = [b["axis"] for b in bins] or candidates
     for axis in candidates:
         lat = sites @ axis
         polar = np.abs(lat) >= math.cos(tol)
@@ -368,9 +360,8 @@ def _ti_dihedral(config: MajoranaConfig, report: SymmetryReport, tol: float):
                    "equal polar stacks plus one singly occupied equatorial ring")
 
 
-def _polyhedral_orbits(report: SymmetryReport):
+def _polyhedral_orbits(kind: str, bins):
     """Catalog orbit directions (from the group's own axes) and caps."""
-    bins = _axis_bins(list(report.elements[1:]))
     by_order: dict[int, list[np.ndarray]] = {}
     for entry in bins:
         by_order.setdefault(entry["order"], []).append(entry["axis"])
@@ -379,7 +370,7 @@ def _polyhedral_orbits(report: SymmetryReport):
         axes = by_order.get(order, [])
         return np.array([sign * a for a in axes for sign in (1.0, -1.0)])
 
-    if report.kind == TETRAHEDRAL:
+    if kind == TETRAHEDRAL:
         three = dirs(3)
         d0 = three[0]
         close = three @ d0
@@ -388,16 +379,16 @@ def _polyhedral_orbits(report: SymmetryReport):
         return [(first, 2, "tetrahedron vertex"),
                 (second, 2, "mirror-tetrahedron vertex"),
                 (dirs(2), 3, "octahedron vertex")], None
-    if report.kind == OCTAHEDRAL:
+    if kind == OCTAHEDRAL:
         return [(dirs(3), 3, "cube vertex"), (dirs(4), 2, "octahedron vertex")], 34
     return [(dirs(3), 2, "dodecahedron vertex"), (dirs(5), 3, "icosahedron vertex")], 88
 
 
-def _ti_polyhedral(config: MajoranaConfig, report: SymmetryReport, tol: float):
-    orbits, bound = _polyhedral_orbits(report)
-    if bound is not None and config.n > bound:
-        return False, f"{config.n} points exceeds the stated bound of {bound}"
-    sites, mult = _site_decomposition(config, tol)
+def _ti_polyhedral(n: int, kind: str, bins, sites: np.ndarray, mult: np.ndarray,
+                   tol: float):
+    orbits, bound = _polyhedral_orbits(kind, bins)
+    if bound is not None and n > bound:
+        return False, f"{n} points exceeds the stated bound of {bound}"
     usage = []
     for i, site in enumerate(sites):
         for directions, cap, name in orbits:
@@ -414,13 +405,9 @@ def _ti_polyhedral(config: MajoranaConfig, report: SymmetryReport, tol: float):
                                                 for name in names)
 
 
-def is_totally_invariant(config: MajoranaConfig, report: SymmetryReport,
-                         tol: float = 1e-6) -> tuple[bool, str]:
-    """Catalog decision: (verdict, witness description).
-
-    The verdict is computed from the configuration and the report's group
-    data; the report's own `totally_invariant` field is ignored.
-    """
+def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndarray,
+                bins, tol: float) -> tuple[bool, str]:
+    """`is_totally_invariant` on the sites and axis bins already at hand."""
     kind = report.kind
     if kind == SO3:
         return False, ("all points coincident (a product state); the cluster "
@@ -431,10 +418,21 @@ def is_totally_invariant(config: MajoranaConfig, report: SymmetryReport,
         return False, (f"C{report.order} constrains only azimuths: latitude "
                        "rings can slide along the axis without breaking it")
     if kind in (SO2, O2):
-        return _ti_axial(config, report, tol)
+        return _ti_axial(n, report.axis, sites, mult, tol)
     if kind == DIHEDRAL:
-        return _ti_dihedral(config, report, tol)
-    return _ti_polyhedral(config, report, tol)
+        return _ti_dihedral(report, bins, sites, mult, tol)
+    return _ti_polyhedral(n, kind, bins, sites, mult, tol)
+
+
+def is_totally_invariant(config: MajoranaConfig, report: SymmetryReport,
+                         tol: float = 1e-6) -> tuple[bool, str]:
+    """Catalog decision: (verdict, witness description).
+
+    The verdict is computed from the configuration and the report's group
+    data; the report's own `totally_invariant` field is ignored.
+    """
+    sites, mult = _site_decomposition(config, tol)
+    return _invariance(config.n, report, sites, mult, _axis_bins(report.elements[1:]), tol)
 
 
 def contains_dihedral(config: MajoranaConfig, m: int, tol: float = 1e-6) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +35,13 @@ COINCIDENCE_TOL = 1e-6
 _POLE_SNAP = 1e-12
 
 
+@lru_cache(maxsize=128)
 def binomial_weights(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0..n, exact integers before the square root."""
-    return np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
+    """sqrt(C(n, k)) for k = 0..n, exact integers before the square root;
+    cached and shared, so read-only."""
+    weights = np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
+    weights.setflags(write=False)
+    return weights
 
 
 def angles_to_unit(theta, phi) -> np.ndarray:

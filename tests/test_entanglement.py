@@ -111,7 +111,7 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(num_starts=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(grid_resolution=-5)
+        OptimizerConfig(tol_gradient=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iterations=0)
 

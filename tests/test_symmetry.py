@@ -1,6 +1,9 @@
 """Point-group detection, total invariance, dihedral membership."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majorana import (
     MajoranaConfig,
@@ -10,13 +13,16 @@ from majorana import (
     to_majorana,
     random_symmetric_state,
 )
+from majorana import symmetry
 from majorana.catalog import (
+    SOLIDS,
     gen_dicke,
     gen_dihedral,
     gen_ghz,
     gen_platonic,
     gen_tetrahedral,
 )
+from majorana.symstate import Rotation, unit_to_angles
 
 from helpers import perturb_config, random_rotation, rotate_points
 
@@ -217,3 +223,225 @@ def test_report_axis_is_unit_length():
     for state in (gen_ghz(6), gen_dicke(5, 1)):
         report = detect_group(_config(state))
         assert abs(np.linalg.norm(report.axis) - 1.0) < 1e-12
+
+
+_SYMMETRIC = (gen_ghz(5), gen_dicke(6, 2), gen_dicke(5, 1), gen_dihedral(8, 2),
+              gen_tetrahedral(), gen_platonic("octahedron"), gen_platonic("cube"),
+              gen_platonic("icosahedron"), gen_platonic("dodecahedron"))
+
+
+def _nudge(config, index, delta, psi):
+    """Rotate one point by `delta` rad towards the direction at angle `psi`
+    in its tangent plane."""
+    vecs = config.unit_vectors().copy()
+    u = vecs[index]
+    e1 = symmetry._perpendicular(u)
+    e2 = np.cross(u, e1)
+    vecs[index] = Rotation(math.cos(psi) * e1 + math.sin(psi) * e2, delta).apply(u)
+    theta, phi = unit_to_angles(vecs)
+    return MajoranaConfig(config.n, np.column_stack([theta, phi]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(index=st.integers(0, len(_SYMMETRIC) - 1),
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: np.linalg.norm(v) > 0.1),
+       angle=st.floats(0.0, 2.0 * math.pi),
+       data=st.data())
+def test_label_invariant_under_rotation_and_permutation(index, axis, angle, data):
+    cfg = _config(_SYMMETRIC[index])
+    expected = detect_group(cfg)
+    rotated = rotate_points(cfg, Rotation(np.array(axis), angle))
+    order = data.draw(st.permutations(range(cfg.n)))
+    moved = MajoranaConfig(cfg.n, rotated.points[list(order)])
+    report = detect_group(moved)
+    assert (report.label, report.order) == (expected.label, expected.order)
+    assert len(report.elements) == len(expected.elements)
+    assert report.totally_invariant == expected.totally_invariant
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(where=st.floats(0.0, 1.0, exclude_max=True), psi=st.floats(0.0, 2.0 * math.pi))
+def test_moving_one_point_breaks_each_solid(where, psi):
+    for solid in SOLIDS:
+        cfg = _config(gen_platonic(solid))
+        full = detect_group(cfg)
+        report = detect_group(_nudge(cfg, int(where * cfg.n), 1e-3, psi))
+        assert report.label != full.label, solid
+        assert len(report.elements) < len(full.elements), solid
+        assert not report.totally_invariant, solid
+
+
+# Reference implementations as plain loops.  The group: every power of each
+# validated step is collected, then all pairs of rotations found are
+# multiplied until nothing new appears, with membership tested against a
+# stack rebuilt for each candidate.  Then candidate axes, the greedy line
+# dedupe, axis bins and ring gcds, one rotation or one line at a time.
+
+
+def _is_known(mats, candidate, mat_tol):
+    stack = np.array(mats)
+    return bool(np.min(np.abs(stack - candidate).sum(axis=(1, 2))) < mat_tol)
+
+
+def _collect_rotations(axes, sites, mult, tol, n, mat_tol):
+    mats = [np.eye(3)]
+    for axis in axes:
+        m = symmetry._max_cyclic_order(axis, sites, mult, tol, n)
+        if m < 2:
+            continue
+        step = Rotation(axis, 2 * np.pi / m).matrix()
+        mat = np.eye(3)
+        for _ in range(m - 1):
+            mat = step @ mat
+            if not _is_known(mats, mat, mat_tol) and symmetry._maps_sites(mat, sites, mult, tol):
+                mats.append(mat)
+    return mats
+
+
+def _close_group(mats, sites, mult, tol, mat_tol, cap=240):
+    changed = True
+    while changed and len(mats) <= cap:
+        changed = False
+        snapshot = list(mats)
+        for a in snapshot:
+            for b in snapshot:
+                prod = a @ b
+                if not _is_known(mats, prod, mat_tol):
+                    if symmetry._maps_sites(prod, sites, mult, tol):
+                        mats.append(prod)
+                        changed = True
+            if len(mats) > cap:
+                break
+    return mats
+
+
+def _canonical_axis_loop(v):
+    idx = int(np.argmax(np.abs(v)))
+    return -v if v[idx] < 0 else v.copy()
+
+
+def _candidate_axes_loop(sites, tol):
+    raw = [s for s in sites]
+    for i in range(len(sites)):
+        for j in range(i + 1, len(sites)):
+            for v in (sites[i] + sites[j], np.cross(sites[i], sites[j])):
+                norm = np.linalg.norm(v)
+                if norm > 1e-8:
+                    raw.append(v / norm)
+    threshold = math.cos(min(10.0 * tol, 0.1))
+    kept = []
+    for v in raw:
+        v = _canonical_axis_loop(v)
+        if not kept or not np.any(np.abs(np.array(kept) @ v) >= threshold):
+            kept.append(v)
+    return np.array(kept)
+
+
+def _first_on_each_line_loop(units, threshold):
+    keep = np.zeros(len(units), dtype=bool)
+    for i, v in enumerate(units):
+        keep[i] = not np.any(np.abs(units[keep] @ v) >= threshold)
+    return keep
+
+
+def _axis_bins_loop(rotations, axis_tol):
+    bins = []
+    for rot in rotations:
+        axis = _canonical_axis_loop(rot.axis)
+        for entry in bins:
+            if abs(float(entry["axis"] @ axis)) >= math.cos(axis_tol):
+                entry["count"] += 1
+                break
+        else:
+            bins.append({"axis": axis, "count": 1})
+    return [(entry["axis"], entry["count"]) for entry in bins]
+
+
+def _ring_gcd_loop(axis, sites, tol):
+    lat = sites @ axis
+    values = np.sort(lat[np.abs(lat) < math.cos(tol)])
+    g = start = 0
+    for i in range(1, len(values) + 1):
+        if i == len(values) or values[i] - values[i - 1] > 2.0 * tol:
+            g = math.gcd(g, i - start)
+            start = i
+    return g
+
+
+def _orbit_config(elements, rng, orbits=1):
+    """Generic orbits of a detected group, seeded, as a configuration."""
+    vecs = []
+    for _ in range(orbits):
+        v = rng.normal(size=3)
+        vecs += [e.apply(v / np.linalg.norm(v)) for e in elements]
+    theta, phi = unit_to_angles(np.array(vecs))
+    return MajoranaConfig(len(vecs), np.column_stack([theta, phi]))
+
+
+def _reference_configs():
+    rng = np.random.default_rng(2024)
+    solids = [_config(gen_platonic(s)) for s in ("cube", "icosahedron", "dodecahedron")]
+    rotated = [rotate_points(cfg, random_rotation(rng)) for cfg in solids]
+    groups = [detect_group(cfg).elements for cfg in solids[:2] + [_config(gen_tetrahedral())]]
+    orbits = [_orbit_config(elements, rng, orbits) for elements in groups for orbits in (1, 2)
+              if len(elements) * orbits <= 48]
+    dihedral = [_config(gen_dihedral(n, p)) for n, p in ((7, 1), (12, 0), (14, 4))]
+    noise = [_config(random_symmetric_state(n, rng)) for n in (2, 5, 11, 30)]
+    return solids + rotated + orbits + dihedral + noise
+
+
+def test_closure_matches_pairwise_reference():
+    for cfg in _reference_configs():
+        tol = 1e-6
+        mat_tol = max(symmetry._MAT_TOL, 4.0 * tol)
+        sites, mult = symmetry._site_decomposition(cfg, tol)
+        report = detect_group(cfg)
+        # all candidate axes, and the generator axes alone, which leave most
+        # of the group to the closure
+        for axes in (symmetry._candidate_axes(sites, mult, tol),
+                     np.array([g.axis for g in report.generators])):
+            collected = _collect_rotations(axes, sites, mult, tol, cfg.n, mat_tol)
+            reference = np.array(_close_group(collected, sites, mult, tol, mat_tol))
+            found = symmetry._generate_group(axes, sites, mult, tol, cfg.n, mat_tol)
+            assert found.shape == reference.shape
+            gaps = np.abs(found[:, None] - reference[None]).max(axis=(2, 3))
+            assert gaps.min(axis=0).max() < 1e-12 and gaps.min(axis=1).max() < 1e-12
+        # the census bins the reported elements as the loop did
+        nonid = report.elements[1:]
+        bins = symmetry._axis_bins(nonid, mat_tol)
+        expected = sorted(_axis_bins_loop(nonid, mat_tol),
+                          key=lambda e: (-e[1], tuple(np.round(-e[0], 9))))
+        assert [e["count"] for e in bins] == [count for _, count in expected]
+        for entry, (axis, _) in zip(bins, expected):
+            assert np.array_equal(entry["axis"], axis)
+
+
+def test_vectorised_axes_match_loops():
+    for cfg in _reference_configs():
+        sites, mult = symmetry._site_decomposition(cfg, 1e-6)
+        if np.linalg.norm(mult @ sites) > 1e-5 * mult.sum():
+            continue  # the centroid shortcut returns one axis either way
+        axes = symmetry._candidate_axes(sites, mult, 1e-6)
+        expected = _candidate_axes_loop(sites, 1e-6)
+        assert axes.shape == expected.shape
+        np.testing.assert_allclose(axes, expected, rtol=0, atol=1e-15)
+        for axis in axes:
+            assert symmetry._ring_gcd(axis, sites, 1e-6) == _ring_gcd_loop(axis, sites, 1e-6)
+
+
+def test_line_dedupe_matches_greedy_loop_on_chains():
+    # lines 0.03 rad apart at a 0.05 rad threshold form chains, where the
+    # greedy keeps every other line; 400 rows span several blocks
+    rng = np.random.default_rng(7)
+    starts = rng.normal(size=(40, 3))
+    units = []
+    for start in starts:
+        axis = symmetry._perpendicular(start / np.linalg.norm(start))
+        units += [Rotation(axis, 0.03 * k).apply(start / np.linalg.norm(start))
+                  for k in range(10)]
+    units = np.array(units)[rng.permutation(400)]
+    units[rng.random(400) < 0.5] *= -1.0
+    threshold = math.cos(0.05)
+    keep = symmetry._first_on_each_line(units, threshold)
+    assert np.array_equal(keep, _first_on_each_line_loop(units, threshold))
+    assert 40 < keep.sum() < 400

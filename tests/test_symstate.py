@@ -39,6 +39,18 @@ def test_binomial_weights_match_comb():
         np.testing.assert_allclose(binomial_weights(n) ** 2, expected, rtol=1e-13)
 
 
+def test_binomial_weights_cached_read_only_and_unchanged():
+    for n in (0, 1, 4, 9, 30, 64):
+        weights = binomial_weights(n)
+        assert binomial_weights(n) is weights
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 2.0
+        # the uncached formula, bit for bit
+        fresh = np.sqrt(np.array([math.comb(n, k) for k in range(n + 1)], dtype=float))
+        assert np.array_equal(weights, fresh)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         SymmetricState(3, np.zeros(4))
