@@ -1,23 +1,29 @@
 """Geometric entanglement: maximize the product-state overlap on the sphere.
 
 The objective F(u) = |<product(u)|psi>|^2 factorizes over the configuration
-points v_i as a constant times prod_i (1 + u.v_i)/2, so log F has gradient
-sum_i v_i / (2 p_i) projected to the tangent plane.  Values are always
-evaluated through the amplitude form (numerically exact); the product form
-supplies gradients and Hessians for the local refinement.
+points v_i as a constant times prod_i p_i, p_i = (1 + u.v_i)/2.  In a
+tangent chart (e1, e2) at u, log F has gradient sum_i a_i / (2 p_i) and
+Hessian -sum_i c_i / (2 p_i) I - sum_i a_i a_i^T / (4 p_i^2), with
+c_i = u.v_i and a_i the chart components of v_i.  One product
+[u; e1; e2] @ V^T gives all three for a batch of points.
 
-`geometric_measure` runs batched multi-start ascent (deterministic lattice
-starts plus the antipodes of the configuration points plus seeded random
-extras).  Each sweep moves only the starts still active; a start drops out
-once its tangent gradient is at most 1e-8, or once its value has gained at
-most 1e-9 of itself for three sweeps in a row.  Up to three winners within
-1e-3 of the best value and at least 1e-2 rad apart are then polished with
-Newton steps in a tangent chart, and the best polished one is returned.
-For n >= 3 the closest product states are the global maximizers, so a few
-distinct ascent winners suffice.  All values come from one coherent-state
-kernel, `symstate.coherent_matrix`.  `grid_oracle` is the independent
-check: a separable theta x phi evaluation on an equal-area grid followed by
-one polish from the best cell.
+`geometric_measure` runs one batched saddle-free Newton ascent (Dauphin et
+al., NeurIPS 2014) from every start at once: deterministic lattice starts,
+the antipodes of the configuration points and seeded random extras.  Each
+start steps by sum_k (g.v_k) / |lambda_k| v_k over the eigenpairs of its
+2x2 chart Hessian, clipped to 0.5 rad, so it climbs out of saddles and
+minima and does not zig-zag in ill-conditioned valleys.  Accept decisions
+compare sum_i log p_i, which is monotone in F.  A start drops out once its
+gradient is at most 1e-8, or once its log value has gained at most 1e-9 for
+three sweeps in a row.  Up to three winners within 1e-3 of the best value
+and at least 1e-2 rad apart are then polished together by the same routine,
+to the gradient tolerance, and the best polished one is returned.  For
+n >= 3 the closest product states are the global maximizers, so a few
+distinct ascent winners suffice.  Lambda is always evaluated through the
+amplitude form (numerically exact) with one coherent-state kernel,
+`symstate.coherent_matrix`.  `grid_oracle` is the independent check: a
+separable theta x phi evaluation on an equal-area grid whose best cell,
+and the poles, are polished by the same routine.
 """
 from __future__ import annotations
 
@@ -40,12 +46,15 @@ from .symstate import (
 )
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-# Probability floor; p_i = 0 only exactly opposite a configuration point.
-_P_FLOOR = 1e-300
+# Floor on each p_i = (1 + u.v_i)/2, which vanishes only exactly opposite a
+# configuration point; at 1e-150 the Hessian terms (a_i / 2 p_i)^2 stay finite.
+_P_FLOOR = 1e-150
+# Floor on the overlap itself before `log_overlap_sq` takes its logarithm.
+_VALUE_FLOOR = 1e-300
 _SNAP_ONE = 1e-14
 # Ascent stopping rule: a start drops out once its tangent gradient is at
-# most _ASCENT_GRADIENT_TOL, or once its value has gained at most
-# _STALL_GAIN of itself for _STALL_SWEEPS sweeps in a row.
+# most _ASCENT_GRADIENT_TOL, or once its log value has gained at most
+# _STALL_GAIN for _STALL_SWEEPS sweeps in a row.
 _ASCENT_GRADIENT_TOL = 1e-8
 _STALL_GAIN = 1e-9
 _STALL_SWEEPS = 3
@@ -54,6 +63,20 @@ _STALL_SWEEPS = 3
 _POLISH_COUNT = 3
 _WINNER_WINDOW = 1e-3
 _WINNER_SEPARATION = 1e-2
+# Newton steps: at most _MAX_STEP radians long, eigenvalue magnitudes floored
+# at _CURVATURE_FLOOR (a maximum can be nearly degenerate: on D4(8,2) one
+# Hessian eigenvalue there is about -4e-7, and a floor of 1e-3 keeps the
+# polish above a 1e-10 gradient).  Each rejection scales the step by
+# _BACKTRACK, and a start whose scale falls below _MIN_SCALE drops out.  A
+# polish step that lowers the value is still accepted when it shrinks the
+# gradient to _POLISH_SHRINK of its size; the polish runs at most
+# _POLISH_SWEEPS sweeps.
+_MAX_STEP = 0.5
+_CURVATURE_FLOOR = 1e-12
+_BACKTRACK = 0.25
+_MIN_SCALE = 1e-12
+_POLISH_SHRINK = 0.9
+_POLISH_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -61,11 +84,12 @@ class OptimizerConfig:
     """Knobs for `geometric_measure`; defaults suit n up to a few dozen.
 
     `num_starts=None` resolves to max(32, n^2) for the state at hand.
-    `max_iterations` only caps the ascent sweeps: the ascent stops on its
-    own once every start has dropped out, which a start does when its
-    tangent gradient is at most 1e-8 or when its value has gained at most
-    1e-9 of itself for three sweeps in a row.  `tol_gradient` is the
-    gradient norm the Newton polish must reach for `converged`.
+    `max_iterations` only caps the sweeps of the saddle-free Newton ascent:
+    the ascent stops on its own once every start has dropped out, which a
+    start does when its tangent gradient is at most 1e-8 or when its log
+    value has gained at most 1e-9 for three sweeps in a row.  `tol_gradient`
+    is the gradient norm the polish of the winners must reach for
+    `converged`.
     """
 
     num_starts: int | None = None
@@ -132,63 +156,120 @@ def _overlap_sq(amps: np.ndarray, units: np.ndarray) -> np.ndarray:
     return np.abs(coherent_matrix(len(amps) - 1, units).conj() @ amps) ** 2
 
 
-def _tangent_gradients(units: np.ndarray, mp_units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sphere gradient of log F at each unit vector; also returns P matrix."""
-    p = 0.5 * (1.0 + units @ mp_units.T)
-    p = np.maximum(p, _P_FLOOR)
-    grad = (0.5 / p) @ mp_units
-    radial = np.einsum("ij,ij->i", grad, units)
-    return grad - radial[:, None] * units, p
+def _frames(units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent frames (e1, e2) at each unit vector, branch free.
+
+    Duff et al., "Building an orthonormal basis, revisited" (JCGT 2017): the
+    sign of z picks the hemisphere, so the frame stays exact at both poles.
+    """
+    x, y, z = units.T
+    sign = np.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    e1 = np.column_stack([1.0 + sign * x * x * a, sign * b, -sign * x])
+    e2 = np.column_stack([b, sign + y * y * a, -y])
+    return e1, e2
+
+
+def _chart_terms(units: np.ndarray, mp_units: np.ndarray):
+    """Sum of log p_i, chart gradient and chart Hessian of log F at each unit.
+
+    One product [u; e1; e2] @ mp_units.T gives c = u.v_i and the frame
+    components a, b of every configuration point.  Returns the log values
+    (S,), the gradients (S, 2), the Hessian entries (h_11, h_12, h_22) and
+    the frames.
+    """
+    e1, e2 = _frames(units)
+    s = len(units)
+    dots = np.vstack([units, e1, e2]) @ mp_units.T
+    c, a, b = dots[:s], dots[s:2 * s], dots[2 * s:]
+    p = np.maximum(0.5 * (1.0 + c), _P_FLOOR)
+    w = 0.5 / p
+    aw, bw = a * w, b * w
+    gradient = np.column_stack([aw.sum(axis=1), bw.sum(axis=1)])
+    curvature = -(c * w).sum(axis=1)
+    hessian = (curvature - (aw * aw).sum(axis=1), -(aw * bw).sum(axis=1),
+               curvature - (bw * bw).sum(axis=1))
+    return np.log(p).sum(axis=1), gradient, hessian, e1, e2
+
+
+def _saddle_free_step(gradient: np.ndarray, hessian, e1: np.ndarray,
+                      e2: np.ndarray) -> np.ndarray:
+    """Ambient tangent step sum_k (g.v_k) / |lambda_k| v_k, at most
+    _MAX_STEP long, from the closed-form eigensystem of each 2x2 Hessian."""
+    h11, h12, h22 = hessian
+    mean, half = 0.5 * (h11 + h22), 0.5 * (h11 - h22)
+    radius = np.hypot(half, h12)
+    angle = 0.5 * np.arctan2(h12, half)
+    cos, sin = np.cos(angle), np.sin(angle)
+    along = (gradient[:, 0] * cos + gradient[:, 1] * sin) \
+        / np.maximum(np.abs(mean + radius), _CURVATURE_FLOOR)
+    across = (gradient[:, 1] * cos - gradient[:, 0] * sin) \
+        / np.maximum(np.abs(mean - radius), _CURVATURE_FLOOR)
+    s1, s2 = along * cos - across * sin, along * sin + across * cos
+    clip = _MAX_STEP / np.maximum(np.hypot(s1, s2), _MAX_STEP)
+    return (clip * s1)[:, None] * e1 + (clip * s2)[:, None] * e2
 
 
 def log_overlap_sq_gradient(state: SymmetricState, theta: float, phi: float) -> np.ndarray:
     """Tangent-plane gradient of log |<product|psi>|^2 at one direction."""
     u = angles_to_unit(theta, phi)[None, :]
-    mp_units = to_majorana(state).unit_vectors()
-    tangent, _ = _tangent_gradients(u, mp_units)
-    return tangent[0]
+    _, gradient, _, e1, e2 = _chart_terms(u, to_majorana(state).unit_vectors())
+    return gradient[0, 0] * e1[0] + gradient[0, 1] * e2[0]
 
 
 def log_overlap_sq(state: SymmetricState, theta: float, phi: float) -> float:
     value = _overlap_sq(state.amps, angles_to_unit(theta, phi)[None, :])[0]
-    return float(np.log(np.maximum(value, _P_FLOOR)))
+    return float(np.log(np.maximum(value, _VALUE_FLOOR)))
 
 
-def _batch_ascend(amps: np.ndarray, mp_units: np.ndarray, units: np.ndarray,
-                  max_iterations: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Adaptive-step gradient ascent on all starts at once.
+def _newton_ascent(mp_units: np.ndarray, units: np.ndarray, gradient_tol: float,
+                   max_sweeps: int, polish: bool = False):
+    """Batched saddle-free Newton ascent of log F from every start at once.
 
-    Each sweep steps only the active starts; see the stopping rule at the
-    module constants.  Returns the final units and values and the number of
-    sweeps run, at most `max_iterations`.
+    Each sweep evaluates every active start's trial point once.  An ascent
+    step is accepted when it raises the product-form value; a polish step
+    (`polish=True`) also when it keeps the value or shrinks the gradient to
+    at most _POLISH_SHRINK of its size, which keeps the terminal Newton
+    contraction going below rounding noise in the value.  A rejected step
+    shrinks that start's step scale by _BACKTRACK.  A start drops out once
+    its gradient is at most `gradient_tol`, once its step scale falls below
+    _MIN_SCALE, or, outside the polish, after _STALL_SWEEPS sweeps in a row
+    that gained at most _STALL_GAIN in log F.  Returns the final units and
+    gradient norms, and the number of sweeps run.
     """
-    units = units.copy()
-    values = _overlap_sq(amps, units)
-    eta = np.full(len(units), 0.25)
+    units = units / np.linalg.norm(units, axis=1)[:, None]
+    log_values, gradient, hessian, e1, e2 = _chart_terms(units, mp_units)
+    gnorms = np.linalg.norm(gradient, axis=1)
+    steps = _saddle_free_step(gradient, hessian, e1, e2)
+    scale = np.ones(len(units))
     stalls = np.zeros(len(units), dtype=int)
-    active = np.arange(len(units))
+    active = np.flatnonzero(gnorms > gradient_tol)
     sweeps = 0
-    while sweeps < max_iterations:
-        tangent, _ = _tangent_gradients(units[active], mp_units)
-        moving = np.linalg.norm(tangent, axis=1) > _ASCENT_GRADIENT_TOL
-        active, tangent = active[moving], tangent[moving]
-        if active.size == 0:
-            break
+    while active.size and sweeps < max_sweeps:
         sweeps += 1
-        trial = units[active] + eta[active, None] * tangent
+        step = scale[active, None] * steps[active]
+        r = np.linalg.norm(step, axis=1)
+        trial = np.cos(r)[:, None] * units[active] + np.sinc(r / math.pi)[:, None] * step
         trial /= np.linalg.norm(trial, axis=1)[:, None]
-        trial_values = _overlap_sq(amps, trial)
-        gain = trial_values - values[active]
-        improved = gain > 0.0
-        moved = active[improved]
-        units[moved] = trial[improved]
-        eta[moved] *= 1.5
-        eta[active[~improved]] *= 0.4
-        stalled = gain <= _STALL_GAIN * values[active]
-        values[moved] = trial_values[improved]
-        stalls[active] = np.where(stalled, stalls[active] + 1, 0)
-        active = active[stalls[active] < _STALL_SWEEPS]
-    return units, values, sweeps
+        trial_values, gradient, hessian, e1, e2 = _chart_terms(trial, mp_units)
+        trial_gnorms = np.linalg.norm(gradient, axis=1)
+        gain = trial_values - log_values[active]
+        if polish:
+            accept = (gain >= 0.0) | (trial_gnorms <= _POLISH_SHRINK * gnorms[active])
+        else:
+            accept = gain > 0.0
+            stalls[active] = np.where(gain <= _STALL_GAIN, stalls[active] + 1, 0)
+        moved = active[accept]
+        units[moved] = trial[accept]
+        log_values[moved] = trial_values[accept]
+        gnorms[moved] = trial_gnorms[accept]
+        steps[moved] = _saddle_free_step(gradient, hessian, e1, e2)[accept]
+        scale[moved] = 1.0
+        scale[active[~accept]] *= _BACKTRACK
+        active = active[(gnorms[active] > gradient_tol) & (scale[active] >= _MIN_SCALE)
+                        & (stalls[active] < _STALL_SWEEPS)]
+    return units, gnorms, sweeps
 
 
 def _distinct_winners(units: np.ndarray, values: np.ndarray) -> list[int]:
@@ -204,71 +285,15 @@ def _distinct_winners(units: np.ndarray, values: np.ndarray) -> list[int]:
     return picked
 
 
-def _chart_basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pick = np.zeros(3)
-    pick[np.argmin(np.abs(u))] = 1.0
-    e1 = np.cross(u, pick)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(u, e1)
-
-
-def _chart_gradient_norm(mp_units: np.ndarray, u: np.ndarray) -> float:
-    e1, e2 = _chart_basis(u)
-    p = np.maximum(0.5 * (1.0 + mp_units @ u), _P_FLOOR)
-    return float(math.hypot(np.sum((mp_units @ e1) / (2.0 * p)),
-                            np.sum((mp_units @ e2) / (2.0 * p))))
-
-
-def _polish(amps: np.ndarray, mp_units: np.ndarray, u: np.ndarray,
-            tol_gradient: float, max_iterations: int = 80) -> tuple[np.ndarray, float, float]:
-    """Newton refinement of one maximizer in a rotating tangent chart.
-
-    Falls back to a scaled gradient step whenever the chart Hessian is not
-    negative definite, and backtracks on any value decrease.  Once value
-    changes drop below rounding noise a step is still accepted when it
-    shrinks the gradient norm, which keeps the terminal Newton contraction
-    going well past the square root of machine epsilon.
-    """
-    u = u / np.linalg.norm(u)
-    value = float(_overlap_sq(amps, u[None, :])[0])
-    gnorm = math.inf
-    for _ in range(max_iterations):
-        e1, e2 = _chart_basis(u)
-        a = mp_units @ e1
-        b = mp_units @ e2
-        c = mp_units @ u
-        p = np.maximum(0.5 * (1.0 + c), _P_FLOOR)
-        g = np.array([np.sum(a / (2.0 * p)), np.sum(b / (2.0 * p))])
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol_gradient:
-            break
-        q = 4.0 * p * p
-        h_ss = float(np.sum(-c / (2.0 * p) - a * a / q))
-        h_tt = float(np.sum(-c / (2.0 * p) - b * b / q))
-        h_st = float(np.sum(-a * b / q))
-        det = h_ss * h_tt - h_st * h_st
-        if h_ss < 0.0 and det > 0.0:
-            step = np.linalg.solve(np.array([[h_ss, h_st], [h_st, h_tt]]), -g)
-        else:
-            step = g / (abs(h_ss) + abs(h_tt) + 1.0)
-        norm = np.linalg.norm(step)
-        if norm > 0.5:
-            step *= 0.5 / norm
-        for _ in range(40):
-            r = float(np.linalg.norm(step))
-            if r < 1e-18:
-                break
-            direction = (step[0] * e1 + step[1] * e2) / r
-            trial = math.cos(r) * u + math.sin(r) * direction
-            trial_value = float(_overlap_sq(amps, trial[None, :])[0])
-            if trial_value >= value or _chart_gradient_norm(mp_units, trial) <= 0.9 * gnorm:
-                u, value = trial, trial_value
-                break
-            step *= 0.5
-        else:
-            break
-    value = float(_overlap_sq(amps, u[None, :])[0])
-    return u, value, _chart_gradient_norm(mp_units, u)
+def _best_refined(amps: np.ndarray, mp_units: np.ndarray, units: np.ndarray,
+                  tol_gradient: float) -> tuple[np.ndarray, float, float]:
+    """Polish a few candidates together; the best by amplitude-form value,
+    with that value and its gradient norm."""
+    units, gnorms, _ = _newton_ascent(mp_units, units, tol_gradient,
+                                      _POLISH_SWEEPS, polish=True)
+    values = _overlap_sq(amps, units)
+    best = int(np.argmax(values))
+    return units[best], float(values[best]), float(gnorms[best])
 
 
 def _start_points(config_units: np.ndarray, n: int, cfg: OptimizerConfig) -> np.ndarray:
@@ -323,13 +348,11 @@ def geometric_measure(state: SymmetricState,
         return _make_result(1.0, coherent, 0, True, 0.0, 0)
     mp_units = to_majorana(state).unit_vectors()
     starts = _start_points(mp_units, state.n, cfg)
-    units, values, sweeps = _batch_ascend(state.amps, mp_units, starts,
-                                          cfg.max_iterations)
-    best_u, best_value, best_gnorm = None, -1.0, math.inf
-    for index in _distinct_winners(units, values):
-        u, value, gnorm = _polish(state.amps, mp_units, units[index], cfg.tol_gradient)
-        if value > best_value:
-            best_u, best_value, best_gnorm = u, value, gnorm
+    units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL,
+                                      cfg.max_iterations)
+    winners = _distinct_winners(units, _overlap_sq(state.amps, units))
+    best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, units[winners],
+                                                   cfg.tol_gradient)
     theta, phi = unit_to_angles(best_u)
     return _make_result(best_value, (theta, phi), len(starts),
                         best_gnorm <= cfg.tol_gradient, best_gnorm, sweeps)
@@ -353,17 +376,15 @@ def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementRes
     overlaps = (t * state.amps) @ e.T  # rows: theta index, cols: phi index
     values = np.abs(overlaps) ** 2
     best = np.unravel_index(np.argmax(values), values.shape)
-    candidates = [angles_to_unit(theta[best[0]], phi[best[1]]),
-                  np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    candidates = np.array([angles_to_unit(theta[best[0]], phi[best[1]]),
+                           [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     mp_units = to_majorana(state).unit_vectors()
-    best_value, best_u, best_gnorm = -1.0, None, math.inf
-    for u0 in candidates:
-        p = 0.5 * (1.0 + u0 @ mp_units.T)
-        if p.min() <= 1e-12 and _overlap_sq(state.amps, u0[None, :])[0] < 1e-30:
-            continue
-        u, value, gnorm = _polish(state.amps, mp_units, u0, 1e-10)
-        if value > best_value:
-            best_value, best_u, best_gnorm = value, u, gnorm
+    # Skip a candidate exactly opposite a configuration point: its overlap
+    # vanishes and the log objective has a pole there.
+    off_pole = (0.5 * (1.0 + candidates @ mp_units.T)).min(axis=1) > 1e-12
+    off_pole |= _overlap_sq(state.amps, candidates) >= 1e-30
+    best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units,
+                                                   candidates[off_pole], 1e-10)
     direction = unit_to_angles(best_u)
     return _make_result(best_value, direction, resolution * resolution,
                         best_gnorm <= 1e-10, best_gnorm, 0)

@@ -105,19 +105,30 @@ def _is_great_circle_ring(config: MajoranaConfig, tol: float = 1e-6) -> bool:
 def known_rank(state: SymmetricState, tol: float = 1e-6) -> int | None:
     """Product-state rank when recognizable: 1 for product states, 2 for
     the GHZ ring family; otherwise None."""
+    return _known_rank(state, None, tol)
+
+
+def _known_rank(state: SymmetricState, config: MajoranaConfig | None,
+                tol: float = 1e-6) -> int | None:
+    """`known_rank` with the state's configuration, if already found."""
     # the coherent test works in amplitude space; clustering the computed
     # points would miss it because multiple roots smear under root finding
     if _coherent_direction(state.amps) is not None:
         return 1
-    config = to_majorana(state)
-    if _is_great_circle_ring(config, tol):
+    if _is_great_circle_ring(to_majorana(state) if config is None else config, tol):
         return 2
     return None
 
 
 def schmidt_bound(state: SymmetricState, ent: EntanglementResult | None = None,
                   cfg: OptimizerConfig | None = None) -> SchmidtBound:
-    known = known_rank(state)
+    return _schmidt_bound(state, None, ent, cfg)
+
+
+def _schmidt_bound(state: SymmetricState, config: MajoranaConfig | None,
+                   ent: EntanglementResult | None,
+                   cfg: OptimizerConfig | None) -> SchmidtBound:
+    known = _known_rank(state, config)
     if known is not None:
         return SchmidtBound(known, KNOWN_VALUE)
     if ent is None:
@@ -138,18 +149,19 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    sig_a = degeneracy_signature(to_majorana(a), tol)
-    sig_b = degeneracy_signature(to_majorana(b), tol)
+    config_a, config_b = to_majorana(a), to_majorana(b)
+    sig_a = degeneracy_signature(config_a, tol)
+    sig_b = degeneracy_signature(config_b, tol)
     if sig_a.multiplicities != sig_b.multiplicities:
         return Verdict(INEQUIVALENT,
                        f"coincidence signatures differ: {sig_a} vs {sig_b}")
-    for known_state, other, other_ent, names in (
-            (a, b, ent_b, ("first", "second")),
-            (b, a, ent_a, ("second", "first"))):
-        known = known_rank(known_state, tol)
+    for known_state, known_config, other, other_config, other_ent, names in (
+            (a, config_a, b, config_b, ent_b, ("first", "second")),
+            (b, config_b, a, config_a, ent_a, ("second", "first"))):
+        known = _known_rank(known_state, known_config, tol)
         if known is None:
             continue
-        bound = schmidt_bound(other, other_ent, cfg)
+        bound = _schmidt_bound(other, other_config, other_ent, cfg)
         if bound.source == KNOWN_VALUE:
             other_r = bound.r_lower
             if other_r != known:

@@ -63,6 +63,9 @@ _LABELS = {TRIVIAL: "Trivial", TETRAHEDRAL: "T", OCTAHEDRAL: "O",
 # here differs by an angle of 2*pi/60, i.e. a Frobenius distance ~0.15).
 _MAT_TOL = 1e-3
 _CLOSURE_CAP = 240
+# Angles this close to pi count as half-turns (the census sorts angles
+# rounded to 9 decimals).
+_HALF_TURN_TOL = 1e-9
 # Rows compared at once in `_first_on_each_line`, and queued rotations
 # multiplied at once in `_generate_group`.
 _AXIS_BLOCK = 128
@@ -250,10 +253,19 @@ def _axis_bins(rotations, axis_tol: float = _MAT_TOL):
     return bins
 
 
+def _fix_half_turn(rot: Rotation) -> Rotation:
+    """A half-turn about either sign of its axis is one rotation, and
+    `Rotation.from_matrix` takes that sign from a quaternion w of rounding
+    size; pin it with `_canonical_axis` so equal groups list equal elements."""
+    if math.pi - rot.angle > _HALF_TURN_TOL:
+        return rot
+    return Rotation(_canonical_axis(rot.axis), rot.angle)
+
+
 def _classify(mats: np.ndarray, mat_tol: float = _MAT_TOL):
     """Census of the closed rotation stack (identity first, nothing else within
     `mat_tol` of it) -> (kind, order, principal, bins, elements)."""
-    nonid = sorted((Rotation.from_matrix(mat) for mat in mats[1:]),
+    nonid = sorted((_fix_half_turn(Rotation.from_matrix(mat)) for mat in mats[1:]),
                    key=lambda r: (round(r.angle, 9), tuple(np.round(r.axis, 9))))
     elements = [Rotation.identity()] + nonid
     if not nonid:

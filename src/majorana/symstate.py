@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._roots import MAX_DEGREE, effective_degree, polynomial_roots
+from ._roots import MAX_DEGREE, polynomial_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,35 +146,6 @@ class MajoranaConfig:
         return self.n == other.n and np.array_equal(self.points, other.points)
 
 
-@dataclass(frozen=True, eq=False)
-class MajoranaPolynomial:
-    """Coefficients c_k = sqrt(C(n,k)) a_k of the state's root polynomial."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 1 or len(c) < 2:
-            raise ValueError("need at least two coefficients")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def degree(self) -> int:
-        """Effective degree after dropping near-zero trailing coefficients."""
-        return effective_degree(self.coeffs)
-
-    def __call__(self, alpha):
-        out = np.zeros_like(np.asarray(alpha, dtype=complex))
-        for c in self.coeffs[::-1]:
-            out = out * alpha + c
-        return out
-
-
 @dataclass(frozen=True)
 class Rotation:
     """Axis-angle rotation of the sphere (right-hand rule, active)."""
@@ -255,10 +226,6 @@ def state_fidelity(a: SymmetricState, b: SymmetricState) -> float:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def majorana_polynomial(state: SymmetricState) -> MajoranaPolynomial:
-    return MajoranaPolynomial(binomial_weights(state.n) * state.amps)
 
 
 def _product_amplitudes(points: np.ndarray) -> np.ndarray:

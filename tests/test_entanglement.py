@@ -17,7 +17,15 @@ from majorana import (
     rotate_state,
     SymmetricState,
 )
-from majorana.catalog import gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
+from majorana.catalog import (
+    gen_dicke,
+    gen_dihedral,
+    gen_ghz,
+    gen_platonic,
+    gen_tetrahedral,
+    totally_invariant_states,
+)
+from majorana.entanglement import _frames
 
 from helpers import random_rotation
 
@@ -94,6 +102,35 @@ def test_optimizer_matches_oracle_on_random_states():
         fast = geometric_measure(state)
         assert fast.converged, (i, n)
         assert abs(fast.lam - grid_oracle(state, 300).lam) <= 1e-8, (i, n)
+
+
+def test_ascent_stays_inside_its_sweep_cap():
+    # the inventory's dihedral states and seeds 2 and 15 at n = 20 have
+    # ill-conditioned valleys where a fixed-step gradient ascent zig-zags
+    states = [entry.state for n in range(3, 15) for entry in totally_invariant_states(n)]
+    assert len(states) == 141
+    states += [random_symmetric_state(20, np.random.default_rng(s)) for s in range(30)]
+    cfg = OptimizerConfig()
+    for i, state in enumerate(states):
+        result = geometric_measure(state, cfg)
+        assert result.converged, i
+        assert result.iterations < cfg.max_iterations, i
+        assert abs(result.lam - grid_oracle(state, 300).lam) <= 1e-8, i
+
+
+def test_tangent_frames_are_orthonormal():
+    rng = np.random.default_rng(4)
+    units = rng.standard_normal((200, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, -1.0],
+             [1e-9, 0.0, -math.sqrt(1.0 - 1e-18)], [1.0, 0.0, 0.0], [0.0, 1.0, -0.0]]
+    units = np.vstack([units, poles])
+    e1, e2 = _frames(units)
+    assert np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))
+    for a, b in ((e1, e1), (e2, e2), (e1, e2), (e1, units), (e2, units)):
+        expected = 1.0 if a is b else 0.0
+        np.testing.assert_allclose(np.einsum("ij,ij->i", a, b), expected,
+                                   rtol=0, atol=1e-14)
 
 
 def test_grid_oracle_handles_pole_maximizer():

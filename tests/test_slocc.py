@@ -141,3 +141,21 @@ def test_precomputed_entanglement_is_honored():
     ent_b = geometric_measure(b)
     verdict = slocc_distinguish(a, b, ent_a=ent_a, ent_b=ent_b)
     assert verdict.result == INEQUIVALENT
+
+
+def test_one_root_finding_per_state(monkeypatch):
+    # the signatures, known ranks and rank bounds share each configuration
+    from majorana import slocc
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return to_majorana(state)
+
+    monkeypatch.setattr(slocc, "to_majorana", counting)
+    for a, b in ((gen_ghz(4), gen_ghz(4)), (gen_ghz(5), gen_dihedral(5, 1)),
+                 (gen_tetrahedral(), gen_ghz(4))):
+        calls.clear()
+        verdict = slocc_distinguish(a, b, ent_a=geometric_measure(a),
+                                    ent_b=geometric_measure(b))
+        assert len(calls) == 2, verdict

@@ -445,3 +445,24 @@ def test_line_dedupe_matches_greedy_loop_on_chains():
     keep = symmetry._first_on_each_line(units, threshold)
     assert np.array_equal(keep, _first_on_each_line_loop(units, threshold))
     assert 40 < keep.sum() < 400
+
+
+def test_half_turn_axes_ignore_rounding_noise():
+    # at angle pi the quaternion's w is rounding noise: a +-1e-15
+    # antisymmetric term flips its sign, which must not flip the axis
+    skew = np.array([[0.0, -1.0, 0.3], [1.0, 0.0, -0.7], [-0.3, 0.7, 0.0]])
+    for state in (gen_platonic("octahedron"), gen_platonic("icosahedron"),
+                  gen_tetrahedral(), gen_dihedral(8, 2)):
+        report = detect_group(_config(state))
+        mats = np.array([rot.matrix() for rot in report.elements])
+        half_turns = [abs(rot.angle - math.pi) < 1e-6 for rot in report.elements]
+        assert any(half_turns)
+        expected = symmetry._classify(mats)[4]
+        for sign in (1.0, -1.0):
+            noisy = mats.copy()
+            noisy[half_turns] += sign * 1e-15 * skew
+            elements = symmetry._classify(noisy)[4]
+            assert len(elements) == len(expected)
+            for got, want in zip(elements, expected):
+                assert abs(got.angle - want.angle) < 1e-12
+                np.testing.assert_allclose(got.axis, want.axis, rtol=0, atol=1e-12)
