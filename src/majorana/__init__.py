@@ -4,30 +4,25 @@ The package converts between symmetric-basis amplitudes and sphere points,
 computes the geometric measure of entanglement, detects rotational point
 groups, certifies entanglement values by group averaging, and assembles
 evidence that two states sit in different invertible-local-operation
-classes.
+classes.  The names below are the public API; helpers such as
+`symstate.cluster_directions` or `twirl.group_average` stay importable
+from their own modules.
 """
 from .symstate import (
     SymmetricState,
     MajoranaConfig,
     Rotation,
     SchemaError,
-    make_state,
     state_fidelity,
-    angles_to_unit,
-    unit_to_angles,
     to_majorana,
     to_dicke,
     rotate,
     rotate_state,
     coherent_amplitudes,
-    overlap_product,
-    pairwise_angles,
-    cluster_directions,
     config_close,
     random_symmetric_state,
     to_json_dict,
     to_json_text,
-    parse_json_dict,
     parse_json_text,
 )
 from .entanglement import (
@@ -37,27 +32,10 @@ from .entanglement import (
     grid_oracle,
     log_overlap_sq,
     log_overlap_sq_gradient,
-    fibonacci_sphere,
 )
-from .symmetry import SymmetryReport, detect_group, is_totally_invariant, contains_dihedral
-from .twirl import (
-    SymmetricOperator,
-    TwirlCertificate,
-    spin_matrices,
-    wigner_rotation,
-    group_average,
-    certify_equivalence,
-)
-from .slocc import (
-    DegeneracySignature,
-    SchmidtBound,
-    Verdict,
-    degeneracy_signature,
-    known_rank,
-    schmidt_bound,
-    slocc_distinguish,
-    four_qubit_table,
-)
+from .symmetry import SymmetryReport, detect_group, contains_dihedral
+from .twirl import TwirlCertificate, wigner_rotation, certify_equivalence
+from .slocc import Verdict, degeneracy_signature, slocc_distinguish, four_qubit_table
 from .catalog import (
     CatalogEntry,
     gen_dicke,
@@ -65,7 +43,6 @@ from .catalog import (
     gen_dihedral,
     gen_tetrahedral,
     gen_platonic,
-    platonic_vertices,
     totally_invariant_states,
     SOLIDS,
 )
@@ -77,23 +54,16 @@ __all__ = [
     "MajoranaConfig",
     "Rotation",
     "SchemaError",
-    "make_state",
     "state_fidelity",
-    "angles_to_unit",
-    "unit_to_angles",
     "to_majorana",
     "to_dicke",
     "rotate",
     "rotate_state",
     "coherent_amplitudes",
-    "overlap_product",
-    "pairwise_angles",
-    "cluster_directions",
     "config_close",
     "random_symmetric_state",
     "to_json_dict",
     "to_json_text",
-    "parse_json_dict",
     "parse_json_text",
     "OptimizerConfig",
     "EntanglementResult",
@@ -101,23 +71,14 @@ __all__ = [
     "grid_oracle",
     "log_overlap_sq",
     "log_overlap_sq_gradient",
-    "fibonacci_sphere",
     "SymmetryReport",
     "detect_group",
-    "is_totally_invariant",
     "contains_dihedral",
-    "SymmetricOperator",
     "TwirlCertificate",
-    "spin_matrices",
     "wigner_rotation",
-    "group_average",
     "certify_equivalence",
-    "DegeneracySignature",
-    "SchmidtBound",
     "Verdict",
     "degeneracy_signature",
-    "known_rank",
-    "schmidt_bound",
     "slocc_distinguish",
     "four_qubit_table",
     "CatalogEntry",
@@ -126,7 +87,6 @@ __all__ = [
     "gen_dihedral",
     "gen_tetrahedral",
     "gen_platonic",
-    "platonic_vertices",
     "totally_invariant_states",
     "SOLIDS",
 ]

@@ -4,8 +4,8 @@ Coefficients are ascending (c[0] is the constant term).  The effective degree
 drops trailing coefficients whose magnitude is below a relative tolerance;
 every dropped top coefficient corresponds to one root at infinity, and
 near-zero bottom coefficients are taken as exact roots at the origin.  Finite
-roots come from companion-matrix eigenvalues, optionally polished by an
-Aberth-Ehrlich simultaneous-correction sweep.
+roots come from companion-matrix eigenvalues, polished by at most
+`_ABERTH_SWEEPS` Aberth-Ehrlich simultaneous-correction sweeps.
 """
 from __future__ import annotations
 
@@ -16,17 +16,18 @@ DEGREE_DROP_TOL = 1e-13
 # Residual bound for every reported finite root, relative to the coefficient
 # scale and the root magnitude (see scaled_residuals).
 RESIDUAL_TOL = 1e-10
+_ABERTH_SWEEPS = 12
 
 MAX_DEGREE = 64
 
 
-def effective_degree(coeffs, drop_tol: float = DEGREE_DROP_TOL) -> int:
-    """Index of the last coefficient exceeding drop_tol relative to the max."""
+def effective_degree(coeffs) -> int:
+    """Index of the last coefficient exceeding DEGREE_DROP_TOL relative to the max."""
     c = np.asarray(coeffs, dtype=complex)
     scale = np.max(np.abs(c))
     if scale == 0.0:
         raise ValueError("zero polynomial has no well-defined degree")
-    keep = np.nonzero(np.abs(c) > drop_tol * scale)[0]
+    keep = np.nonzero(np.abs(c) > DEGREE_DROP_TOL * scale)[0]
     return int(keep[-1])
 
 
@@ -62,7 +63,7 @@ def _companion_eigenvalues(coeffs) -> np.ndarray:
     return np.linalg.eigvals(comp)
 
 
-def aberth_refine(coeffs, roots, max_sweeps: int = 12) -> np.ndarray:
+def aberth_refine(coeffs, roots) -> np.ndarray:
     """Polish all roots simultaneously; returns the best iterate per root."""
     c = np.asarray(coeffs, dtype=complex)
     d = len(c) - 1
@@ -72,7 +73,7 @@ def aberth_refine(coeffs, roots, max_sweeps: int = 12) -> np.ndarray:
     z = np.array(roots, dtype=complex)
     best = z.copy()
     best_res = scaled_residuals(c, z)
-    for _ in range(max_sweeps):
+    for _ in range(_ABERTH_SWEEPS):
         p = horner(c, z)
         dp = horner(dc, z)
         newton = p / np.where(dp == 0, 1e-300, dp)
@@ -93,8 +94,7 @@ def aberth_refine(coeffs, roots, max_sweeps: int = 12) -> np.ndarray:
     return best
 
 
-def polynomial_roots(coeffs, drop_tol: float = DEGREE_DROP_TOL,
-                     refine: bool = True):
+def polynomial_roots(coeffs):
     """All roots of an ascending-coefficient polynomial.
 
     Returns (finite_roots, num_infinite) where num_infinite counts dropped
@@ -104,17 +104,15 @@ def polynomial_roots(coeffs, drop_tol: float = DEGREE_DROP_TOL,
     c = np.asarray(coeffs, dtype=complex)
     if len(c) - 1 > MAX_DEGREE:
         raise ValueError(f"degree {len(c) - 1} exceeds supported maximum {MAX_DEGREE}")
-    d = effective_degree(c, drop_tol)
+    d = effective_degree(c)
     num_infinite = len(c) - 1 - d
     trimmed = c[: d + 1]
     scale = np.max(np.abs(trimmed))
     low = 0
-    while low < d and np.abs(trimmed[low]) <= drop_tol * scale:
+    while low < d and np.abs(trimmed[low]) <= DEGREE_DROP_TOL * scale:
         low += 1
     middle = trimmed[low:]
-    finite = _companion_eigenvalues(middle)
-    if refine and len(finite):
-        finite = aberth_refine(middle, finite)
+    finite = aberth_refine(middle, _companion_eigenvalues(middle))
     roots = np.concatenate([np.zeros(low, dtype=complex), finite])
     if len(roots):
         res = scaled_residuals(trimmed, roots)

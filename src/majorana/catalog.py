@@ -28,11 +28,10 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 SOLIDS = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
 
 # Largest per-vertex occupancy for which the vertex configuration stays
-# rigid under its symmetry group (no occupancy split can preserve it).
+# rigid under its symmetry group (no occupancy split can preserve it); it
+# also keeps every solid within 40 points.
 MAX_MULTIPLICITY = {"tetrahedron": 2, "octahedron": 3, "cube": 3,
                     "icosahedron": 3, "dodecahedron": 2}
-
-MAX_POINTS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,11 +118,8 @@ def gen_platonic(solid: str, multiplicity: int = 1) -> SymmetricState:
     cap = MAX_MULTIPLICITY[solid]
     if not 1 <= multiplicity <= cap:
         raise ValueError(f"multiplicity for {solid} must be in 1..{cap}, got {multiplicity}")
-    total = len(verts) * multiplicity
-    if total > MAX_POINTS:
-        raise ValueError(f"{total} points exceeds the supported maximum {MAX_POINTS}")
     theta, phi = unit_to_angles(np.repeat(verts, multiplicity, axis=0))
-    return to_dicke(MajoranaConfig(total, np.column_stack([theta, phi])))
+    return to_dicke(MajoranaConfig(len(theta), np.column_stack([theta, phi])))
 
 
 def totally_invariant_states(n: int) -> list[CatalogEntry]:

@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .catalog import SOLIDS, gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
 from .entanglement import OptimizerConfig, geometric_measure, grid_oracle
 from .slocc import degeneracy_signature, slocc_distinguish, four_qubit_table
@@ -27,8 +25,8 @@ from .symstate import (
     SchemaError,
     SymmetricState,
     angles_to_unit,
-    cluster_directions,
     parse_json_text,
+    site_decomposition,
     to_dicke,
     to_json_dict,
     to_majorana,
@@ -204,14 +202,10 @@ def _cmd_twirl(args) -> int:
 def plot_rows(config: MajoranaConfig, maximizer=None, tol: float = DEFAULT_TOL):
     """One row per coincidence cluster: angles, Cartesian coordinates,
     multiplicity, role; plus a zero-multiplicity maximizer row if given."""
-    vecs = config.unit_vectors()
-    rows = []
-    for idx in cluster_directions(vecs, tol):
-        center = vecs[idx].sum(axis=0)
-        center /= np.linalg.norm(center)
-        theta, phi = unit_to_angles(center)
-        rows.append((float(theta), float(phi), float(center[0]), float(center[1]),
-                     float(center[2]), len(idx), "point"))
+    sites, mult = site_decomposition(config.unit_vectors(), tol)
+    theta, phi = unit_to_angles(sites)
+    rows = [(float(t), float(p), float(x), float(y), float(z), int(m), "point")
+            for t, p, (x, y, z), m in zip(theta, phi, sites, mult)]
     if maximizer is not None:
         theta, phi = float(maximizer[0]), float(maximizer[1])
         x, y, z = angles_to_unit(theta, phi)
@@ -252,26 +246,16 @@ def write_svg(rows, size: int = 400) -> str:
     return "\n".join(parts) + "\n"
 
 
-def plot_emit(config: MajoranaConfig, maximizer, path: str,
-              svg_path: str | None = None, tol: float = DEFAULT_TOL) -> None:
-    """Write the cluster CSV for a configuration (and optionally an SVG).
-
-    `maximizer` is a (theta, phi) pair or None; when present it adds one
-    hollow-dot row with multiplicity 0.
-    """
-    rows = plot_rows(config, maximizer, tol)
-    _write_text(path, write_csv(rows))
-    if svg_path is not None:
-        _write_text(svg_path, write_svg(rows))
-
-
 def _cmd_plot(args) -> int:
     config = _load_config(args.input)
     maximizer = None
     if args.with_maximizer:
         ent = geometric_measure(to_dicke(config), _optimizer_config(args))
         maximizer = (ent.theta, ent.phi)
-    plot_emit(config, maximizer, args.output, args.svg, _tolerance(args))
+    rows = plot_rows(config, maximizer, _tolerance(args))
+    _write_text(args.output, write_csv(rows))
+    if args.svg is not None:
+        _write_text(args.svg, write_svg(rows))
     return 0
 
 

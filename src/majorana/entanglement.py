@@ -40,7 +40,6 @@ from .symstate import (
     cluster_directions,
     coherent_amplitudes,
     coherent_matrix,
-    rotate_state,
     to_majorana,
     unit_to_angles,
 )
@@ -77,33 +76,28 @@ _BACKTRACK = 0.25
 _MIN_SCALE = 1e-12
 _POLISH_SHRINK = 0.9
 _POLISH_SWEEPS = 100
+# Sweep cap of the ascent, and the gradient norm the polish must reach for
+# `converged` (in `geometric_measure` and `grid_oracle` alike).
+_MAX_SWEEPS = 300
+_POLISH_GRADIENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for `geometric_measure`; defaults suit n up to a few dozen.
+    """Starts for `geometric_measure`: how many, and the seed of the extras.
 
-    `num_starts=None` resolves to max(32, n^2) for the state at hand.
-    `max_iterations` only caps the sweeps of the saddle-free Newton ascent:
-    the ascent stops on its own once every start has dropped out, which a
-    start does when its tangent gradient is at most 1e-8 or when its log
-    value has gained at most 1e-9 for three sweeps in a row.  `tol_gradient`
-    is the gradient norm the polish of the winners must reach for
-    `converged`.
+    `num_starts=None` resolves to max(32, n^2) for the state at hand.  The
+    ascent runs at most _MAX_SWEEPS sweeps and stops on its own once every
+    start has dropped out; the polish of the winners must reach
+    _POLISH_GRADIENT_TOL for `converged`.
     """
 
     num_starts: int | None = None
-    tol_gradient: float = 1e-10
-    max_iterations: int = 300
     seed: int = 0
 
     def __post_init__(self):
         if self.num_starts is not None and self.num_starts < 1:
             raise ValueError("num_starts must be positive")
-        if self.tol_gradient <= 0:
-            raise ValueError("tol_gradient must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
     def resolve_starts(self, n: int) -> int:
         return self.num_starts if self.num_starts is not None else max(32, n * n)
@@ -285,11 +279,11 @@ def _distinct_winners(units: np.ndarray, values: np.ndarray) -> list[int]:
     return picked
 
 
-def _best_refined(amps: np.ndarray, mp_units: np.ndarray, units: np.ndarray,
-                  tol_gradient: float) -> tuple[np.ndarray, float, float]:
+def _best_refined(amps: np.ndarray, mp_units: np.ndarray,
+                  units: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Polish a few candidates together; the best by amplitude-form value,
     with that value and its gradient norm."""
-    units, gnorms, _ = _newton_ascent(mp_units, units, tol_gradient,
+    units, gnorms, _ = _newton_ascent(mp_units, units, _POLISH_GRADIENT_TOL,
                                       _POLISH_SWEEPS, polish=True)
     values = _overlap_sq(amps, units)
     best = int(np.argmax(values))
@@ -348,14 +342,11 @@ def geometric_measure(state: SymmetricState,
         return _make_result(1.0, coherent, 0, True, 0.0, 0)
     mp_units = to_majorana(state).unit_vectors()
     starts = _start_points(mp_units, state.n, cfg)
-    units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL,
-                                      cfg.max_iterations)
+    units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL, _MAX_SWEEPS)
     winners = _distinct_winners(units, _overlap_sq(state.amps, units))
-    best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, units[winners],
-                                                   cfg.tol_gradient)
-    theta, phi = unit_to_angles(best_u)
-    return _make_result(best_value, (theta, phi), len(starts),
-                        best_gnorm <= cfg.tol_gradient, best_gnorm, sweeps)
+    best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, units[winners])
+    return _make_result(best_value, unit_to_angles(best_u), len(starts),
+                        best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, sweeps)
 
 
 def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementResult:
@@ -383,16 +374,6 @@ def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementRes
     # vanishes and the log objective has a pole there.
     off_pole = (0.5 * (1.0 + candidates @ mp_units.T)).min(axis=1) > 1e-12
     off_pole |= _overlap_sq(state.amps, candidates) >= 1e-30
-    best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units,
-                                                   candidates[off_pole], 1e-10)
-    direction = unit_to_angles(best_u)
-    return _make_result(best_value, direction, resolution * resolution,
-                        best_gnorm <= 1e-10, best_gnorm, 0)
-
-
-def eg_invariance_check(state: SymmetricState, r: Rotation,
-                        cfg: OptimizerConfig | None = None) -> float:
-    """|E_G(state) - E_G(rotated state)|; should vanish up to solver noise."""
-    base = geometric_measure(state, cfg)
-    moved = geometric_measure(rotate_state(state, r), cfg)
-    return abs(base.eg - moved.eg)
+    best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, candidates[off_pole])
+    return _make_result(best_value, unit_to_angles(best_u), resolution * resolution,
+                        best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0)

@@ -75,7 +75,7 @@ def degeneracy_signature(config: MajoranaConfig, tol: float = 1e-6) -> Degenerac
     vecs = config.unit_vectors()
     clusters = cluster_directions(vecs, tol)
     sizes = tuple(sorted((len(c) for c in clusters), reverse=True))
-    angles = pairwise_angles(vecs)
+    angles = pairwise_angles(vecs, vecs)
     upper = angles[np.triu_indices(config.n, k=1)]
     ambiguous = bool(np.any((upper > tol) & (upper < 2.0 * tol)))
     return DegeneracySignature(sizes, ambiguous)
@@ -102,33 +102,27 @@ def _is_great_circle_ring(config: MajoranaConfig, tol: float = 1e-6) -> bool:
     return bool(np.max(np.abs(gaps - 2.0 * math.pi / n)) <= max(10.0 * tol, 1e-8))
 
 
-def known_rank(state: SymmetricState, tol: float = 1e-6) -> int | None:
+def known_rank(state: SymmetricState, config: MajoranaConfig,
+               tol: float = 1e-6) -> int | None:
     """Product-state rank when recognizable: 1 for product states, 2 for
-    the GHZ ring family; otherwise None."""
-    return _known_rank(state, None, tol)
-
-
-def _known_rank(state: SymmetricState, config: MajoranaConfig | None,
-                tol: float = 1e-6) -> int | None:
-    """`known_rank` with the state's configuration, if already found."""
+    the GHZ ring family; otherwise None.  `config` is the state's
+    configuration."""
     # the coherent test works in amplitude space; clustering the computed
     # points would miss it because multiple roots smear under root finding
     if _coherent_direction(state.amps) is not None:
         return 1
-    if _is_great_circle_ring(to_majorana(state) if config is None else config, tol):
+    if _is_great_circle_ring(config, tol):
         return 2
     return None
 
 
-def schmidt_bound(state: SymmetricState, ent: EntanglementResult | None = None,
+def schmidt_bound(state: SymmetricState, config: MajoranaConfig,
+                  ent: EntanglementResult | None = None,
                   cfg: OptimizerConfig | None = None) -> SchmidtBound:
-    return _schmidt_bound(state, None, ent, cfg)
-
-
-def _schmidt_bound(state: SymmetricState, config: MajoranaConfig | None,
-                   ent: EntanglementResult | None,
-                   cfg: OptimizerConfig | None) -> SchmidtBound:
-    known = _known_rank(state, config)
+    """The known product rank, else the lower bound ceil(2^E_G); `config`
+    is the state's configuration and `ent` its geometric measure, if
+    already computed."""
+    known = known_rank(state, config)
     if known is not None:
         return SchmidtBound(known, KNOWN_VALUE)
     if ent is None:
@@ -158,10 +152,10 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
     for known_state, known_config, other, other_config, other_ent, names in (
             (a, config_a, b, config_b, ent_b, ("first", "second")),
             (b, config_b, a, config_a, ent_a, ("second", "first"))):
-        known = _known_rank(known_state, known_config, tol)
+        known = known_rank(known_state, known_config, tol)
         if known is None:
             continue
-        bound = _schmidt_bound(other, other_config, other_ent, cfg)
+        bound = schmidt_bound(other, other_config, other_ent, cfg)
         if bound.source == KNOWN_VALUE:
             other_r = bound.r_lower
             if other_r != known:

@@ -1,5 +1,5 @@
 """Point-group detection for sphere configurations and the total-invariance
-catalog test.
+catalog verdict.
 
 `detect_group` finds the largest subgroup of SO(3) whose rotations permute
 the configuration's point multiset.  Coincident points are first merged
@@ -15,8 +15,9 @@ The closure matters because some high-order axes (for example the
 five-fold axes of a dodecahedral configuration) are not spanned by any
 single site or pair.
 
-`is_totally_invariant` pattern-matches the configuration against a
-per-group catalog of points-on-axes layouts.  Cyclic groups never qualify
+The report also carries the total-invariance verdict (`totally_invariant`,
+with a `witness` string), which pattern-matches the configuration against
+a per-group catalog of points-on-axes layouts.  Cyclic groups never qualify
 (rings can slide along the axis); axial groups qualify exactly when all
 points sit at the two poles; a dihedral group D_m requires equal polar
 stacks on its principal axis (any of the three two-fold axes for D2) and
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .symstate import MajoranaConfig, Rotation, cluster_directions
+from .symstate import MajoranaConfig, Rotation, site_decomposition
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +67,8 @@ _CLOSURE_CAP = 240
 # Angles this close to pi count as half-turns (the census sorts angles
 # rounded to 9 decimals).
 _HALF_TURN_TOL = 1e-9
+# Entries within this of an axis's largest magnitude tie for its sign.
+_SIGN_TIE = 1e-9
 # Rows compared at once in `_first_on_each_line`, and queued rotations
 # multiplied at once in `_generate_group`.
 _AXIS_BLOCK = 128
@@ -106,9 +109,13 @@ class SymmetryReport:
 
 
 def _canonical_axis(v: np.ndarray) -> np.ndarray:
-    """v, or each row of v, signed so that its largest-magnitude entry is positive."""
-    big = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
-    return np.where(big < 0, -v, v)
+    """v, or each row of v, signed so that the first entry within _SIGN_TIE of
+    its largest magnitude is positive: an axis such as (1, -1, 0)/sqrt(2)
+    keeps its sign when rounding noise reorders the two magnitudes."""
+    mag = np.abs(v)
+    first = np.argmax(mag >= mag.max(axis=-1, keepdims=True) - _SIGN_TIE, axis=-1)
+    lead = np.take_along_axis(v, first[..., None], axis=-1)
+    return np.where(lead < 0, -v, v)
 
 
 def _perpendicular(v: np.ndarray) -> np.ndarray:
@@ -116,15 +123,6 @@ def _perpendicular(v: np.ndarray) -> np.ndarray:
     pick[int(np.argmin(np.abs(v)))] = 1.0
     w = np.cross(v, pick)
     return w / np.linalg.norm(w)
-
-
-def _site_decomposition(config: MajoranaConfig, tol: float):
-    vecs = config.unit_vectors()
-    clusters = cluster_directions(vecs, tol)
-    sites = np.array([vecs[idx].sum(axis=0) for idx in clusters])
-    sites /= np.linalg.norm(sites, axis=1)[:, None]
-    mult = np.array([len(idx) for idx in clusters])
-    return sites, mult
 
 
 def _maps_sites(mat: np.ndarray, sites: np.ndarray, mult: np.ndarray,
@@ -309,7 +307,7 @@ def _pick_generators(kind: str, order: int, principal: np.ndarray,
 
 def detect_group(config: MajoranaConfig, tol: float = 1e-6) -> SymmetryReport:
     """Largest rotation group permuting the configuration's point multiset."""
-    sites, mult = _site_decomposition(config, tol)
+    sites, mult = site_decomposition(config.unit_vectors(), tol)
     bins = []
     if len(sites) == 1:
         report = SymmetryReport(SO3, 0, sites[0], (), (), False, "")
@@ -419,7 +417,8 @@ def _ti_polyhedral(n: int, kind: str, bins, sites: np.ndarray, mult: np.ndarray,
 
 def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndarray,
                 bins, tol: float) -> tuple[bool, str]:
-    """`is_totally_invariant` on the sites and axis bins already at hand."""
+    """Total-invariance verdict and witness from the sites and axis bins
+    that detection already computed."""
     kind = report.kind
     if kind == SO3:
         return False, ("all points coincident (a product state); the cluster "
@@ -434,17 +433,6 @@ def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndar
     if kind == DIHEDRAL:
         return _ti_dihedral(report, bins, sites, mult, tol)
     return _ti_polyhedral(n, kind, bins, sites, mult, tol)
-
-
-def is_totally_invariant(config: MajoranaConfig, report: SymmetryReport,
-                         tol: float = 1e-6) -> tuple[bool, str]:
-    """Catalog decision: (verdict, witness description).
-
-    The verdict is computed from the configuration and the report's group
-    data; the report's own `totally_invariant` field is ignored.
-    """
-    sites, mult = _site_decomposition(config, tol)
-    return _invariance(config.n, report, sites, mult, _axis_bins(report.elements[1:]), tol)
 
 
 def contains_dihedral(config: MajoranaConfig, m: int, tol: float = 1e-6) -> bool:

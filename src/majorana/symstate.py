@@ -215,12 +215,6 @@ class Rotation:
         return Rotation(self.axis, -self.angle)
 
 
-def make_state(amps) -> SymmetricState:
-    """Validating, normalizing constructor; infers n from the length."""
-    arr = np.atleast_1d(np.asarray(amps))
-    return SymmetricState(arr.shape[0] - 1, arr)
-
-
 def state_fidelity(a: SymmetricState, b: SymmetricState) -> float:
     """|<a|b>|^2; raises on mismatched qubit counts."""
     if a.n != b.n:
@@ -320,14 +314,16 @@ def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:
     return coherent_matrix(n, angles_to_unit(theta, phi))[0]
 
 
-def overlap_product(state: SymmetricState, theta: float, phi: float) -> complex:
-    """Amplitude of `state` on the product state along (theta, phi)."""
-    return complex(np.vdot(coherent_amplitudes(state.n, theta, phi), state.amps))
+def pairwise_angles(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Matrix of angular separations between two sets of unit vectors.
 
-
-def pairwise_angles(vecs: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of angular separations between unit vectors."""
-    return pairwise_angles_cross(vecs, vecs)
+    arctan2(|cross|, dot) rather than arccos(dot): the latter loses half the
+    working precision near coincident or antipodal directions.
+    """
+    va, vb = np.asarray(va), np.asarray(vb)
+    dots = va @ vb.T
+    crosses = np.linalg.norm(np.cross(va[:, None, :], vb[None, :, :]), axis=-1)
+    return np.arctan2(crosses, dots)
 
 
 def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[np.ndarray]:
@@ -344,7 +340,7 @@ def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[n
             i = parent[i]
         return i
 
-    ang = pairwise_angles(vecs)
+    ang = pairwise_angles(vecs, vecs)
     for i in range(m):
         for j in range(i + 1, m):
             if ang[i, j] <= tol:
@@ -355,6 +351,15 @@ def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[n
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
     return [np.array(groups[r]) for r in sorted(groups)]
+
+
+def site_decomposition(vecs: np.ndarray, tol: float):
+    """Coincidence clusters of `vecs` as (sites, mult): each cluster's unit
+    mean direction and its point count, in `cluster_directions` order."""
+    clusters = cluster_directions(vecs, tol)
+    sites = np.array([vecs[idx].sum(axis=0) for idx in clusters])
+    sites /= np.linalg.norm(sites, axis=1)[:, None]
+    return sites, np.array([len(idx) for idx in clusters])
 
 
 def config_close(a: MajoranaConfig, b: MajoranaConfig, tol: float = 1e-8) -> bool:
@@ -368,7 +373,7 @@ def config_close(a: MajoranaConfig, b: MajoranaConfig, tol: float = 1e-8) -> boo
     """
     if a.n != b.n:
         return False
-    near = pairwise_angles_cross(a.unit_vectors(), b.unit_vectors()) <= tol
+    near = pairwise_angles(a.unit_vectors(), b.unit_vectors()) <= tol
     candidates = [np.flatnonzero(row).tolist() for row in near]
     partner = [-1] * b.n  # partner[j]: the point of `a` paired with point j of `b`
 
@@ -382,15 +387,6 @@ def config_close(a: MajoranaConfig, b: MajoranaConfig, tol: float = 1e-8) -> boo
         return False
 
     return all(augment(i, [False] * b.n) for i in range(a.n))
-
-
-def pairwise_angles_cross(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    # arctan2(|cross|, dot) rather than arccos(dot): the latter loses half
-    # the working precision near coincident or antipodal directions.
-    va, vb = np.asarray(va), np.asarray(vb)
-    dots = va @ vb.T
-    crosses = np.linalg.norm(np.cross(va[:, None, :], vb[None, :, :]), axis=-1)
-    return np.arctan2(crosses, dots)
 
 
 def random_symmetric_state(n: int, rng: np.random.Generator | None = None) -> SymmetricState:

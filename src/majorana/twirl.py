@@ -32,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._roots import MAX_DEGREE
 from .entanglement import EntanglementResult
 from .symmetry import O2, SO2, SO3, TRIVIAL, SymmetryReport
 from .symstate import Rotation, SymmetricState, coherent_amplitudes
@@ -74,23 +75,26 @@ def _jy_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
-    """Unitary action of a sphere rotation on the n-qubit symmetric subspace.
-
-    exp(-i alpha n.J) = A exp(-i alpha Jz) A^dagger with
-    A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the axis's angles: A
-    carries +z onto the axis.  Jz is diagonal and exp(-i theta Jy) comes
-    from Jy's eigenbasis, so no matrix exponential is needed.
-    """
-    if n > 64:
-        raise ValueError(f"qubit count {n} exceeds supported maximum 64")
-    x, y, z = r.axis
+def _frame(n: int, axis: np.ndarray) -> np.ndarray:
+    """A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the angles of `axis`:
+    the action of a rotation carrying +z onto the axis.  Jz is diagonal and
+    exp(-i theta Jy) comes from Jy's eigenbasis, so no matrix exponential
+    is needed."""
+    if n > MAX_DEGREE:
+        raise ValueError(f"qubit count {n} exceeds supported maximum {MAX_DEGREE}")
+    x, y, z = axis
     theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
-    m = n / 2.0 - np.arange(n + 1)
     values, vectors = _jy_eigenbasis(n)
     small_d = (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T
-    align = np.exp(-1j * phi * m)[:, None] * small_d
-    return (align * np.exp(-1j * r.angle * m)) @ align.conj().T
+    return np.exp(-1j * phi * (n / 2.0 - np.arange(n + 1)))[:, None] * small_d
+
+
+def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
+    """Unitary action of a sphere rotation on the n-qubit symmetric subspace:
+    exp(-i alpha a.J) = A exp(-i alpha Jz) A^dagger, with a the rotation's
+    axis and A = `_frame(n, a)`."""
+    align = _frame(n, r.axis)
+    return (align * np.exp(-1j * r.angle * (n / 2.0 - np.arange(n + 1)))) @ align.conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,37 +147,18 @@ class TwirlCertificate:
     reason: str | None
 
 
-def rotation_aligning_z(axis: np.ndarray) -> Rotation:
-    """A rotation carrying +z onto `axis`."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    z = np.array([0.0, 0.0, 1.0])
-    cross = np.cross(z, axis)
-    norm = np.linalg.norm(cross)
-    if norm < 1e-12:
-        if axis[2] > 0:
-            return Rotation.identity()
-        return Rotation(np.array([1.0, 0.0, 0.0]), math.pi)
-    return Rotation(cross / norm, math.atan2(norm, float(axis[2])))
-
-
 def group_average(direction: tuple[float, float], group: SymmetryReport,
-                  n: int) -> SymmetricOperator:
-    """Average of the product state along `direction` over the group action.
+                  n: int) -> tuple[SymmetricOperator, np.ndarray | None]:
+    """Average of the product state along `direction` over the group action,
+    with the stacked Wigner matrices of a discrete group's elements (None
+    for the axial kinds).
 
     Discrete groups average their element list; the axial groups dephase
-    in the axis-aligned excitation basis (the closed form of the
-    continuous average), with an extra flip average for the variant that
-    has one.  The result is an invariant convex mixture of product states,
-    so it is separable by construction.
+    in the excitation basis of the axis (the closed form of the continuous
+    average), with an extra flip average for the variant that has one.  The
+    result is an invariant convex mixture of product states, so it is
+    separable by construction.
     """
-    return _average(direction, group, n)[0]
-
-
-def _average(direction: tuple[float, float], group: SymmetryReport,
-             n: int) -> tuple[SymmetricOperator, np.ndarray | None]:
-    """`group_average` plus the stacked Wigner matrices of a discrete
-    group's elements (None for the axial kinds)."""
     theta, phi = float(direction[0]), float(direction[1])
     if group.kind == TRIVIAL:
         raise ValueError("averaging over the trivial group certifies nothing")
@@ -182,7 +167,7 @@ def _average(direction: tuple[float, float], group: SymmetryReport,
                          "no certificate applies")
     vec = coherent_amplitudes(n, theta, phi)
     if group.kind in (SO2, O2):
-        align = wigner_rotation(n, rotation_aligning_z(group.axis))
+        align = _frame(n, group.axis)
         in_frame = align.conj().T @ vec
         omega = align @ np.diag(np.abs(in_frame) ** 2).astype(complex) @ align.conj().T
         if group.kind == O2:
@@ -229,7 +214,7 @@ def certify_equivalence(state: SymmetricState, ent: EntanglementResult,
     if lam >= 1.0 - 1e-12:
         raise ValueError("product state: 1 - Lambda vanishes and the "
                          "residual is undefined")
-    omega, mats = _average((ent.theta, ent.phi), sym, state.n)
+    omega, mats = group_average((ent.theta, ent.phi), sym, state.n)
     multiplicity = 1 if mats is None else _isotypic_multiplicity(state.amps, mats)
     overlap = omega.expectation(state)
     psi_projector = np.outer(state.amps, state.amps.conj())

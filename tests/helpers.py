@@ -1,7 +1,8 @@
 """Shared utilities for the test suite."""
 import numpy as np
 
-from majorana import MajoranaConfig, Rotation, unit_to_angles
+from majorana import MajoranaConfig, Rotation
+from majorana.symstate import unit_to_angles
 
 
 def random_rotation(rng) -> Rotation:

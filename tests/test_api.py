@@ -1,0 +1,44 @@
+"""The public API: the exported names, the optimizer's settable fields, and
+the imports of the benchmark workloads."""
+import dataclasses
+from pathlib import Path
+
+import majorana
+from majorana import OptimizerConfig
+
+PUBLIC = {
+    # symstate
+    "SymmetricState", "MajoranaConfig", "Rotation", "SchemaError", "state_fidelity",
+    "to_majorana", "to_dicke", "rotate", "rotate_state", "coherent_amplitudes",
+    "config_close", "random_symmetric_state", "to_json_dict", "to_json_text",
+    "parse_json_text",
+    # entanglement
+    "OptimizerConfig", "EntanglementResult", "geometric_measure", "grid_oracle",
+    "log_overlap_sq", "log_overlap_sq_gradient",
+    # symmetry
+    "SymmetryReport", "detect_group", "contains_dihedral",
+    # twirl
+    "TwirlCertificate", "wigner_rotation", "certify_equivalence",
+    # slocc
+    "Verdict", "degeneracy_signature", "slocc_distinguish", "four_qubit_table",
+    # catalog
+    "CatalogEntry", "gen_dicke", "gen_ghz", "gen_dihedral", "gen_tetrahedral",
+    "gen_platonic", "totally_invariant_states", "SOLIDS",
+}
+
+
+def test_public_names_and_optimizer_fields():
+    assert len(PUBLIC) == 39
+    assert sorted(majorana.__all__) == sorted(PUBLIC)
+    for name in majorana.__all__:
+        assert getattr(majorana, name) is not None, name
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["num_starts", "seed"]
+
+
+def test_benchmark_workloads_import(monkeypatch):
+    # the benchmark imports the package by name; an API cut that breaks it
+    # fails here rather than in a later benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    assert set(workloads.WORKLOADS) == {"catalog_certify", "cli_cold"}

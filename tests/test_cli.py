@@ -49,7 +49,7 @@ def test_gen_convert_entangle_pipeline(capsys, tmp_path):
 
 def test_entangle_reports_ascent(capsys, tmp_path):
     # the ascent stops on its own, well inside its sweep cap
-    cap = majorana.OptimizerConfig().max_iterations
+    cap = majorana.entanglement._MAX_SWEEPS
     ghz = tmp_path / "ghz.json"
     run(capsys, "gen", "ghz", "--n", "4", "-o", str(ghz))
     random20 = tmp_path / "r20.json"

@@ -7,12 +7,10 @@ import pytest
 from majorana import (
     OptimizerConfig,
     coherent_amplitudes,
-    fibonacci_sphere,
     geometric_measure,
     grid_oracle,
     log_overlap_sq,
     log_overlap_sq_gradient,
-    make_state,
     random_symmetric_state,
     rotate_state,
     SymmetricState,
@@ -25,7 +23,7 @@ from majorana.catalog import (
     gen_tetrahedral,
     totally_invariant_states,
 )
-from majorana.entanglement import _frames
+from majorana.entanglement import _MAX_SWEEPS, _frames, fibonacci_sphere
 
 from helpers import random_rotation
 
@@ -114,7 +112,7 @@ def test_ascent_stays_inside_its_sweep_cap():
     for i, state in enumerate(states):
         result = geometric_measure(state, cfg)
         assert result.converged, i
-        assert result.iterations < cfg.max_iterations, i
+        assert result.iterations < _MAX_SWEEPS, i
         assert abs(result.lam - grid_oracle(state, 300).lam) <= 1e-8, i
 
 
@@ -147,10 +145,6 @@ def test_grid_oracle_rejects_tiny_resolution():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(num_starts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tol_gradient=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(max_iterations=0)
 
 
 def test_fibonacci_sphere_spread():
@@ -190,19 +184,13 @@ def test_gradient_matches_finite_difference():
 
 
 def test_rotation_invariance_of_eg():
-    rng = np.random.default_rng(77)
-    state = random_symmetric_state(6, rng)
-    base = geometric_measure(state).eg
-    for _ in range(3):
-        rotated = rotate_state(state, random_rotation(rng))
-        assert abs(geometric_measure(rotated).eg - base) < 1e-9
-
-
-def test_eg_invariance_check_vanishes():
-    from majorana.entanglement import eg_invariance_check
-    rng = np.random.default_rng(55)
-    state = random_symmetric_state(5, rng)
-    assert eg_invariance_check(state, random_rotation(rng)) < 1e-9
+    for seed, n, turns in ((77, 6, 3), (55, 5, 1)):
+        rng = np.random.default_rng(seed)
+        state = random_symmetric_state(n, rng)
+        base = geometric_measure(state).eg
+        for _ in range(turns):
+            rotated = rotate_state(state, random_rotation(rng))
+            assert abs(geometric_measure(rotated).eg - base) < 1e-9, seed
 
 
 def test_seed_changes_starts_not_answer():

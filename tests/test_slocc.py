@@ -9,13 +9,18 @@ from majorana import (
     degeneracy_signature,
     four_qubit_table,
     geometric_measure,
-    known_rank,
-    schmidt_bound,
     slocc_distinguish,
     to_majorana,
     to_dicke,
 )
-from majorana.slocc import GEOMETRIC_BOUND, INEQUIVALENT, KNOWN_VALUE, UNDETERMINED
+from majorana.slocc import (
+    GEOMETRIC_BOUND,
+    INEQUIVALENT,
+    KNOWN_VALUE,
+    UNDETERMINED,
+    known_rank,
+    schmidt_bound,
+)
 from majorana.catalog import (
     gen_dicke,
     gen_dihedral,
@@ -54,29 +59,37 @@ def test_signature_rotation_invariance_is_exact():
         assert degeneracy_signature(rotated).multiplicities == base
 
 
+def _rank(state):
+    return known_rank(state, to_majorana(state))
+
+
+def _bound(state, ent=None):
+    return schmidt_bound(state, to_majorana(state), ent)
+
+
 def test_known_rank():
     from majorana import coherent_amplitudes, SymmetricState
     product = SymmetricState(4, coherent_amplitudes(4, 0.8, 0.3))
-    assert known_rank(product) == 1
+    assert _rank(product) == 1
     for n in (2, 3, 5):
-        assert known_rank(gen_ghz(n)) == 2, n
+        assert _rank(gen_ghz(n)) == 2, n
     # rotated ring is still recognized
     rotated = to_dicke(rotate_points(to_majorana(gen_ghz(4)),
                                      random_rotation(np.random.default_rng(1))))
-    assert known_rank(rotated) == 2
-    assert known_rank(gen_tetrahedral()) is None
-    assert known_rank(gen_dicke(4, 2)) is None
+    assert _rank(rotated) == 2
+    assert _rank(gen_tetrahedral()) is None
+    assert _rank(gen_dicke(4, 2)) is None
 
 
 def test_schmidt_bound_values():
-    bound = schmidt_bound(gen_tetrahedral())
+    bound = _bound(gen_tetrahedral())
     assert bound.r_lower == 3
     assert bound.source == GEOMETRIC_BOUND
-    bound = schmidt_bound(gen_ghz(4))
+    bound = _bound(gen_ghz(4))
     assert bound.r_lower == 2
     assert bound.source == KNOWN_VALUE
     # W4: lam = 27/64, 64/27 exceeds 2, so the bound reaches 3
-    assert schmidt_bound(gen_dicke(4, 1)).r_lower == 3
+    assert _bound(gen_dicke(4, 1)).r_lower == 3
 
 
 def test_distinguish_by_signature():
@@ -132,7 +145,7 @@ def test_dihedral_ring_beats_ghz_via_bound():
 
     ent = geometric_measure(gen_dihedral(5, 1))
     assert abs(ent.lam - 5 / 16) < 1e-10
-    assert schmidt_bound(gen_dihedral(5, 1), ent).r_lower == 4
+    assert _bound(gen_dihedral(5, 1), ent).r_lower == 4
 
 
 def test_precomputed_entanglement_is_honored():

@@ -9,7 +9,6 @@ from majorana import (
     MajoranaConfig,
     contains_dihedral,
     detect_group,
-    is_totally_invariant,
     to_majorana,
     random_symmetric_state,
 )
@@ -22,7 +21,7 @@ from majorana.catalog import (
     gen_platonic,
     gen_tetrahedral,
 )
-from majorana.symstate import Rotation, unit_to_angles
+from majorana.symstate import Rotation, site_decomposition, unit_to_angles
 
 from helpers import perturb_config, random_rotation, rotate_points
 
@@ -174,14 +173,11 @@ def test_detection_tolerance_window():
 
 
 def test_is_totally_invariant_witness_strings():
-    report = detect_group(_config(gen_dicke(5, 2)))
-    ok, witness = is_totally_invariant(_config(gen_dicke(5, 2)), report, 1e-6)
-    assert ok and "pole" in witness
+    report = detect_group(_config(gen_dicke(5, 2)), 1e-6)
+    assert report.totally_invariant and "pole" in report.witness
 
-    cfg = _config(gen_platonic("octahedron"))
-    report = detect_group(cfg)
-    ok, witness = is_totally_invariant(cfg, report, 1e-6)
-    assert ok and "octahedron" in witness
+    report = detect_group(_config(gen_platonic("octahedron")), 1e-6)
+    assert report.totally_invariant and "octahedron" in report.witness
 
 
 def test_group_closure_is_complete():
@@ -316,8 +312,10 @@ def _close_group(mats, sites, mult, tol, mat_tol, cap=240):
 
 
 def _canonical_axis_loop(v):
-    idx = int(np.argmax(np.abs(v)))
-    return -v if v[idx] < 0 else v.copy()
+    # the first entry within 1e-9 of the largest magnitude decides the sign
+    top = max(abs(c) for c in v)
+    lead = next(c for c in v if abs(c) >= top - 1e-9)
+    return -v if lead < 0 else v.copy()
 
 
 def _candidate_axes_loop(sites, tol):
@@ -394,7 +392,7 @@ def test_closure_matches_pairwise_reference():
     for cfg in _reference_configs():
         tol = 1e-6
         mat_tol = max(symmetry._MAT_TOL, 4.0 * tol)
-        sites, mult = symmetry._site_decomposition(cfg, tol)
+        sites, mult = site_decomposition(cfg.unit_vectors(), tol)
         report = detect_group(cfg)
         # all candidate axes, and the generator axes alone, which leave most
         # of the group to the closure
@@ -418,7 +416,7 @@ def test_closure_matches_pairwise_reference():
 
 def test_vectorised_axes_match_loops():
     for cfg in _reference_configs():
-        sites, mult = symmetry._site_decomposition(cfg, 1e-6)
+        sites, mult = site_decomposition(cfg.unit_vectors(), 1e-6)
         if np.linalg.norm(mult @ sites) > 1e-5 * mult.sum():
             continue  # the centroid shortcut returns one axis either way
         axes = symmetry._candidate_axes(sites, mult, 1e-6)
@@ -465,4 +463,23 @@ def test_half_turn_axes_ignore_rounding_noise():
             assert len(elements) == len(expected)
             for got, want in zip(elements, expected):
                 assert abs(got.angle - want.angle) < 1e-12
+                np.testing.assert_allclose(got.axis, want.axis, rtol=0, atol=1e-12)
+
+
+def test_half_turn_order_survives_seeded_noise():
+    # axes such as (1, -1, 0)/sqrt(2) tie in their largest magnitudes, so
+    # generic noise, not only an antisymmetric term, may reorder the two
+    rng = np.random.default_rng(1215)
+    for state in (gen_platonic("octahedron"), gen_platonic("cube"), gen_dihedral(8, 2)):
+        report = detect_group(_config(state))
+        mats = np.array([rot.matrix() for rot in report.elements])
+        half_turns = np.array([abs(rot.angle - math.pi) < 1e-6 for rot in report.elements])
+        expected = symmetry._classify(mats)[4]
+        for trial in range(200):
+            noisy = mats.copy()
+            noisy[half_turns] += 1e-15 * rng.standard_normal((half_turns.sum(), 3, 3))
+            elements = symmetry._classify(noisy)[4]
+            assert len(elements) == len(expected)
+            for got, want in zip(elements, expected):
+                assert abs(got.angle - want.angle) < 1e-12, trial
                 np.testing.assert_allclose(got.axis, want.axis, rtol=0, atol=1e-12)

@@ -11,13 +11,8 @@ from majorana import (
     Rotation,
     SchemaError,
     SymmetricState,
-    cluster_directions,
     coherent_amplitudes,
     config_close,
-    make_state,
-    overlap_product,
-    pairwise_angles,
-    parse_json_dict,
     parse_json_text,
     random_symmetric_state,
     rotate,
@@ -28,7 +23,7 @@ from majorana import (
     to_json_text,
     to_majorana,
 )
-from majorana.symstate import binomial_weights
+from majorana.symstate import binomial_weights, cluster_directions, pairwise_angles, parse_json_dict
 
 from helpers import perturb_config, random_rotation
 
@@ -58,14 +53,14 @@ def test_state_validation():
         SymmetricState(3, np.ones(3))
     with pytest.raises(ValueError):
         SymmetricState(0, np.ones(1))
-    s = make_state([3.0, 4.0])
+    s = SymmetricState(1, [3.0, 4.0])
     assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-14
 
 
 def test_state_accepts_amplitudes_near_float_range():
-    s = make_state([1e308, 1e308])
+    s = SymmetricState(1, [1e308, 1e308])
     np.testing.assert_allclose(s.amps, [2 ** -0.5, 2 ** -0.5], rtol=1e-15)
-    s = make_state([complex(1.5e308, 1.5e308), 0.0, -1e308])
+    s = SymmetricState(2, [complex(1.5e308, 1.5e308), 0.0, -1e308])
     assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-14
     np.testing.assert_allclose(s.amps[0] / s.amps[2], complex(-1.5, -1.5), rtol=1e-14)
     payload = {"n": 1, "dicke": [{"re": 1e308, "im": 0}, {"re": 1e308, "im": 0}]}
@@ -73,7 +68,7 @@ def test_state_accepts_amplitudes_near_float_range():
                                [2 ** -0.5, 2 ** -0.5], rtol=1e-15)
     for bad in ([np.inf, 0.0], [np.nan, 1.0], [1e-13, 0.0]):
         with pytest.raises(ValueError):
-            make_state(bad)
+            SymmetricState(1, bad)
 
 
 def test_config_rejects_non_finite_points_and_phase():
@@ -143,13 +138,13 @@ def test_parse_json_dict_fuzz(data):
 
 
 def test_state_amplitudes_frozen():
-    s = make_state([1.0, 0.0, 1.0])
+    s = SymmetricState(2, [1.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         s.amps[0] = 5.0
 
 
 def test_ghz3_points_form_equatorial_triangle():
-    ghz = make_state([1.0, 0.0, 0.0, 1.0])
+    ghz = SymmetricState(3, [1.0, 0.0, 0.0, 1.0])
     cfg = to_majorana(ghz)
     thetas = cfg.points[:, 0]
     np.testing.assert_allclose(thetas, np.pi / 2, atol=1e-12)
@@ -233,7 +228,7 @@ def test_coherent_amplitudes_dicke_overlap():
     # equatorial coherent state against the balanced four-qubit Dicke state
     amps = np.zeros(5)
     amps[2] = 1.0
-    overlap = overlap_product(SymmetricState(4, amps), np.pi / 2, 0.0)
+    overlap = np.vdot(coherent_amplitudes(4, np.pi / 2, 0.0), SymmetricState(4, amps).amps)
     assert abs(abs(overlap) - 0.6123724356957945) < 1e-12
 
 
@@ -263,17 +258,20 @@ def test_coherent_matrix_matches_power_formula():
 
 
 def test_pole_coherent_overlap_reads_off_amplitude():
-    state = make_state([1.0, 0.0, 0.0, 1.0])
-    assert abs(overlap_product(state, 0.0, 0.0) - state.amps[0]) < 1e-14
-    assert abs(abs(overlap_product(state, np.pi, 0.0)) - abs(state.amps[3])) < 1e-14
+    state = SymmetricState(3, [1.0, 0.0, 0.0, 1.0])
+    north = np.vdot(coherent_amplitudes(3, 0.0, 0.0), state.amps)
+    south = np.vdot(coherent_amplitudes(3, np.pi, 0.0), state.amps)
+    assert abs(north - state.amps[0]) < 1e-14
+    assert abs(abs(south) - abs(state.amps[3])) < 1e-14
 
 
 def test_pairwise_angles_and_clusters():
     points = np.array([[0.0, 0.0], [1e-9, 1.0], [np.pi / 2, 0.0], [np.pi, 0.0]])
     cfg = MajoranaConfig(4, points)
     vecs = cfg.unit_vectors()
-    angles = pairwise_angles(vecs)
+    angles = pairwise_angles(vecs, vecs)
     assert angles.shape == (4, 4)
+    np.testing.assert_array_equal(pairwise_angles(vecs[:2], vecs), angles[:2])
     assert abs(angles[0, 3] - np.pi) < 1e-12
     clusters = cluster_directions(vecs, tol=1e-6)
     sizes = sorted(len(c) for c in clusters)
@@ -359,7 +357,7 @@ def test_json_schema_errors_carry_paths():
 
 
 def test_json_dict_shapes():
-    state = make_state([1.0, 2.0])
+    state = SymmetricState(1, [1.0, 2.0])
     d = to_json_dict(state)
     assert set(d) == {"n", "dicke"}
     cfg = to_majorana(state)

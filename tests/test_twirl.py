@@ -6,16 +6,12 @@ import pytest
 
 from majorana import (
     Rotation,
-    SymmetricOperator,
     certify_equivalence,
     coherent_amplitudes,
     detect_group,
     geometric_measure,
-    group_average,
-    make_state,
     random_symmetric_state,
     rotate_state,
-    spin_matrices,
     state_fidelity,
     SymmetricState,
     to_dicke,
@@ -24,6 +20,7 @@ from majorana import (
     MajoranaConfig,
 )
 from majorana.catalog import gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
+from majorana.twirl import SymmetricOperator, group_average, spin_matrices
 
 from helpers import random_rotation
 
@@ -89,7 +86,7 @@ def test_symmetric_operator_contract():
     op = SymmetricOperator(1, np.diag([0.25, 0.75]))
     assert abs(op.trace - 1.0) < 1e-14
     assert abs(op.min_eigenvalue - 0.25) < 1e-14
-    psi = make_state([1.0, 1.0])
+    psi = SymmetricState(1, [1.0, 1.0])
     assert abs(op.expectation(psi) - 0.5) < 1e-14
 
 
@@ -97,19 +94,31 @@ def test_group_average_axial_is_dephasing():
     state = gen_dicke(4, 1)
     ent = geometric_measure(state)
     report = detect_group(to_majorana(state))
-    omega = group_average((ent.theta, ent.phi), report, 4)
+    omega, mats = group_average((ent.theta, ent.phi), report, 4)
+    assert mats is None
     # averaging over rotations about z kills all off-diagonal terms
     off = omega.matrix - np.diag(np.diag(omega.matrix))
     assert np.abs(off).max() < 1e-12
     assert abs(omega.trace - 1.0) < 1e-12
     assert omega.min_eigenvalue > -1e-15
+    # about a tilted axis a, the average commutes with a.J
+    rng = np.random.default_rng(6)
+    for state in (gen_dicke(5, 2), gen_dicke(4, 2)):
+        tilted = rotate_state(state, random_rotation(rng))
+        ent = geometric_measure(tilted)
+        report = detect_group(to_majorana(tilted))
+        omega, _ = group_average((ent.theta, ent.phi), report, state.n)
+        along = np.einsum("i,ijk->jk", report.axis, np.stack(spin_matrices(state.n)))
+        np.testing.assert_allclose(omega.matrix @ along, along @ omega.matrix, atol=1e-10)
+        assert abs(omega.trace - 1.0) < 1e-12
 
 
 def test_group_average_discrete_properties():
     state = gen_ghz(4)
     ent = geometric_measure(state)
     report = detect_group(to_majorana(state))
-    omega = group_average((ent.theta, ent.phi), report, 4)
+    omega, mats = group_average((ent.theta, ent.phi), report, 4)
+    assert mats.shape == (len(report.elements), 5, 5)
     assert abs(omega.trace - 1.0) < 1e-12
     assert omega.min_eigenvalue > -1e-12
     # invariance: conjugating by any group element leaves omega fixed
@@ -129,8 +138,10 @@ def test_group_average_discrete_matches_element_loop():
         projector = np.outer(vec, vec.conj())
         expected = sum(wigner_rotation(n, g) @ projector @ wigner_rotation(n, g).conj().T
                        for g in report.elements) / len(report.elements)
-        omega = group_average((ent.theta, ent.phi), report, n)
+        omega, mats = group_average((ent.theta, ent.phi), report, n)
         np.testing.assert_allclose(omega.matrix, expected, atol=1e-13)
+        for mat, g in zip(mats, report.elements):
+            np.testing.assert_array_equal(mat, wigner_rotation(n, g))
 
 
 def test_group_average_rejects_useless_groups():
