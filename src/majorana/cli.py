@@ -18,9 +18,10 @@ import sys
 
 from .catalog import SOLIDS, gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
 from .entanglement import OptimizerConfig, geometric_measure, grid_oracle
-from .slocc import degeneracy_signature, slocc_distinguish, four_qubit_table
+from .slocc import slocc_distinguish, four_qubit_table
 from .symmetry import detect_group
 from .symstate import (
+    COINCIDENCE_TOL,
     MajoranaConfig,
     SchemaError,
     SymmetricState,
@@ -33,8 +34,6 @@ from .symstate import (
     unit_to_angles,
 )
 from .twirl import certify_equivalence
-
-DEFAULT_TOL = 1e-6
 
 
 def _read_text(path: str) -> str:
@@ -76,7 +75,7 @@ def _tolerance(args) -> float:
     else:
         raw = os.environ.get("MAJORANA_TOL")
         if raw is None:
-            return DEFAULT_TOL
+            return COINCIDENCE_TOL
         source = "$MAJORANA_TOL"
         try:
             value = float(raw)
@@ -151,12 +150,10 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_slocc(args) -> int:
-    tol = _tolerance(args)
     state_a = _load_state(args.first)
     state_b = _load_state(args.second)
-    verdict = slocc_distinguish(state_a, state_b, _optimizer_config(args), tol)
-    sig_a = degeneracy_signature(to_majorana(state_a), tol)
-    sig_b = degeneracy_signature(to_majorana(state_b), tol)
+    verdict = slocc_distinguish(state_a, state_b, _optimizer_config(args), _tolerance(args))
+    sig_a, sig_b = verdict.signatures
     _write_json(args.output, {
         "result": verdict.result,
         "reason": verdict.reason,
@@ -199,7 +196,7 @@ def _cmd_twirl(args) -> int:
     return 0
 
 
-def plot_rows(config: MajoranaConfig, maximizer=None, tol: float = DEFAULT_TOL):
+def plot_rows(config: MajoranaConfig, maximizer=None, tol: float = COINCIDENCE_TOL):
     """One row per coincidence cluster: angles, Cartesian coordinates,
     multiplicity, role; plus a zero-multiplicity maximizer row if given."""
     sites, mult = site_decomposition(config.unit_vectors(), tol)
@@ -270,7 +267,7 @@ def _add_io(parser, needs_input=True):
 def _add_tol(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="angular tolerance in radians "
-                             "(default: MAJORANA_TOL or 1e-6)")
+                             f"(default: MAJORANA_TOL or {COINCIDENCE_TOL:g})")
 
 
 def _add_optimizer(parser):

@@ -2,11 +2,14 @@
 
 Two symmetric states can only be SLOCC-equivalent if their configurations
 have the same multiset of point-coincidence multiplicities, so differing
-signatures are a proof of inequivalence.  A second route compares a known
-product-state rank r (known only for product states and the GHZ family)
-against the other state's lower bound ceil(2^E_G); the bound exceeding the
-known rank is again a proof.  Everything else is reported Undetermined:
-the tool never claims equivalence.
+signatures are a proof of inequivalence, unless either signature is
+ambiguous: two points between tol and 2 tol apart may or may not belong
+together, and an invertible local operation can pull them within tol.  A
+second route compares a known product-state rank r (known only for product
+states and the GHZ family) against the other state's lower bound
+ceil(2^E_G); the bound exceeding the known rank is again a proof.
+Everything else is reported Undetermined: the tool never claims
+equivalence.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .entanglement import (
     geometric_measure,
 )
 from .symstate import (
+    COINCIDENCE_TOL,
     MajoranaConfig,
     SymmetricState,
     cluster_directions,
@@ -57,15 +61,20 @@ class SchmidtBound:
 
 @dataclass(frozen=True)
 class Verdict:
+    """`signatures` holds the two states' coincidence signatures, in
+    argument order."""
+
     result: str
     reason: str | None = None
+    signatures: tuple[DegeneracySignature, ...] = ()
 
     @property
     def inequivalent(self) -> bool:
         return self.result == INEQUIVALENT
 
 
-def degeneracy_signature(config: MajoranaConfig, tol: float = 1e-6) -> DegeneracySignature:
+def degeneracy_signature(config: MajoranaConfig,
+                         tol: float = COINCIDENCE_TOL) -> DegeneracySignature:
     """Sorted coincidence multiplicities; flags borderline separations.
 
     A pair separated by more than `tol` but less than twice it makes the
@@ -81,7 +90,7 @@ def degeneracy_signature(config: MajoranaConfig, tol: float = 1e-6) -> Degenerac
     return DegeneracySignature(sizes, ambiguous)
 
 
-def _is_great_circle_ring(config: MajoranaConfig, tol: float = 1e-6) -> bool:
+def _is_great_circle_ring(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> bool:
     """All points distinct, on one great circle, evenly spaced."""
     n = config.n
     if n < 2:
@@ -103,7 +112,7 @@ def _is_great_circle_ring(config: MajoranaConfig, tol: float = 1e-6) -> bool:
 
 
 def known_rank(state: SymmetricState, config: MajoranaConfig,
-               tol: float = 1e-6) -> int | None:
+               tol: float = COINCIDENCE_TOL) -> int | None:
     """Product-state rank when recognizable: 1 for product states, 2 for
     the GHZ ring family; otherwise None.  `config` is the state's
     configuration."""
@@ -133,7 +142,7 @@ def schmidt_bound(state: SymmetricState, config: MajoranaConfig,
 
 def slocc_distinguish(a: SymmetricState, b: SymmetricState,
                       cfg: OptimizerConfig | None = None,
-                      tol: float = 1e-6,
+                      tol: float = COINCIDENCE_TOL,
                       ent_a: EntanglementResult | None = None,
                       ent_b: EntanglementResult | None = None) -> Verdict:
     """Inequivalence proof if one exists, else Undetermined.
@@ -144,11 +153,16 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
     config_a, config_b = to_majorana(a), to_majorana(b)
-    sig_a = degeneracy_signature(config_a, tol)
-    sig_b = degeneracy_signature(config_b, tol)
+    signatures = sig_a, sig_b = (degeneracy_signature(config_a, tol),
+                                 degeneracy_signature(config_b, tol))
+    undetermined = None
     if sig_a.multiplicities != sig_b.multiplicities:
-        return Verdict(INEQUIVALENT,
-                       f"coincidence signatures differ: {sig_a} vs {sig_b}")
+        if not (sig_a.ambiguous or sig_b.ambiguous):
+            return Verdict(INEQUIVALENT,
+                           f"coincidence signatures differ: {sig_a} vs {sig_b}", signatures)
+        undetermined = (f"coincidence signatures {sig_a} vs {sig_b} differ, but two "
+                        f"points lie between {tol:g} and {2.0 * tol:g} rad apart, so "
+                        "they prove nothing")
     for known_state, known_config, other, other_config, other_ent, names in (
             (a, config_a, b, config_b, ent_b, ("first", "second")),
             (b, config_b, a, config_a, ent_a, ("second", "first"))):
@@ -160,14 +174,15 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
             other_r = bound.r_lower
             if other_r != known:
                 return Verdict(INEQUIVALENT,
-                               f"known product ranks differ: {known} vs {other_r}")
+                               f"known product ranks differ: {known} vs {other_r}",
+                               signatures)
             continue
         if bound.r_lower > known:
             return Verdict(INEQUIVALENT,
                            f"rank bound of the {names[1]} state "
                            f"({bound.r_lower}) exceeds the known rank of the "
-                           f"{names[0]} state ({known})")
-    return Verdict(UNDETERMINED)
+                           f"{names[0]} state ({known})", signatures)
+    return Verdict(UNDETERMINED, undetermined, signatures)
 
 
 @dataclass(frozen=True)

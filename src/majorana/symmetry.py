@@ -5,15 +5,13 @@ catalog verdict.
 the configuration's point multiset.  Coincident points are first merged
 into weighted "sites".  Degenerate layouts (one site; all sites on one
 axis) are dispatched to the continuous groups directly.  Otherwise the
-finite group is assembled from candidate axes (site directions, pairwise
-sums, pairwise cross products), each validated ring by ring for its
-largest cyclic order.  The powers of the validated steps go into one
-growing stack of rotations, which is then closed breadth first: each
-rotation is multiplied by every step once, and a product is kept when no
-stored rotation lies within `mat_tol` (L1) of it and it maps the sites.
-The closure matters because some high-order axes (for example the
-five-fold axes of a dodecahedral configuration) are not spanned by any
-single site or pair.
+finite group is listed outright: a rotation is fixed by where it sends two
+non-collinear sites, so a reference pair (s0, s1) is matched against every
+pair of sites with the same multiplicities and the same angle, and each
+rotation so built is kept when it maps every site onto a site of equal
+multiplicity, one to one.  No axis is guessed and no group is closed, so
+axes that no site or pair of sites spans (the three-fold axes of a
+generic tetrahedral orbit, say) are found like any other.
 
 The report also carries the total-invariance verdict (`totally_invariant`,
 with a `witness` string), which pattern-matches the configuration against
@@ -41,7 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .symstate import MajoranaConfig, Rotation, site_decomposition
+from .symstate import (COINCIDENCE_TOL, MajoranaConfig, Rotation, pairwise_angles,
+                       site_decomposition)
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,20 +58,20 @@ SO3 = "so3"
 _LABELS = {TRIVIAL: "Trivial", TETRAHEDRAL: "T", OCTAHEDRAL: "O",
            ICOSAHEDRAL: "Y", SO2: "SO(2)", O2: "O(2)", SO3: "SO(3)"}
 
-# Matrix-distance threshold separating "same rotation found twice" from
-# genuinely distinct group elements (the closest pair in any group handled
-# here differs by an angle of 2*pi/60, i.e. a Frobenius distance ~0.15).
+# Angular threshold of the census: rotation axes within it share a bin (the
+# half-turn axes of D64, the closest distinct axes handled, are 2*pi/128
+# apart).
 _MAT_TOL = 1e-3
-_CLOSURE_CAP = 240
 # Angles this close to pi count as half-turns (the census sorts angles
 # rounded to 9 decimals).
 _HALF_TURN_TOL = 1e-9
 # Entries within this of an axis's largest magnitude tie for its sign.
 _SIGN_TIE = 1e-9
-# Rows compared at once in `_first_on_each_line`, and queued rotations
-# multiplied at once in `_generate_group`.
+# Rows compared at once in `_first_on_each_line`, and candidate rotations
+# tested at once in `_list_group` (whose temporaries hold block * sites^2
+# dot products).
 _AXIS_BLOCK = 128
-_CLOSURE_BATCH = 8
+_CANDIDATE_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,32 +124,6 @@ def _perpendicular(v: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _maps_sites(mat: np.ndarray, sites: np.ndarray, mult: np.ndarray,
-                tol: float) -> bool:
-    """Whether the rotation permutes sites (positions and multiplicities)."""
-    dots = (sites @ mat.T) @ sites.T
-    nearest = np.argmax(dots, axis=1)
-    if np.any(dots[np.arange(len(sites)), nearest] < math.cos(tol)):
-        return False
-    if np.any(mult[nearest] != mult):
-        return False
-    return len(np.unique(nearest)) == len(sites)
-
-
-def _candidate_axes(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
-    centroid = mult @ sites
-    if np.linalg.norm(centroid) > 10.0 * tol * mult.sum():
-        # A rotation preserving the multiset fixes the weighted centroid, so
-        # with a nonzero centroid only one axis can carry any symmetry.
-        return _canonical_axis(centroid / np.linalg.norm(centroid))[None, :]
-    i, j = np.triu_indices(len(sites), 1)
-    # Per pair (i < j, row-major): the sum, then the cross product.
-    pairs = np.stack([sites[i] + sites[j], np.cross(sites[i], sites[j])], axis=1).reshape(-1, 3)
-    norms = np.linalg.norm(pairs, axis=1)
-    raw = _canonical_axis(np.vstack([sites, pairs[norms > 1e-8] / norms[norms > 1e-8, None]]))
-    return raw[_first_on_each_line(raw, math.cos(min(10.0 * tol, 0.1)))]
-
-
 def _first_on_each_line(units: np.ndarray, threshold: float) -> np.ndarray:
     """Mask of the rows a greedy pass keeps: row i unless |units[i] . units[j]|
     >= threshold for a kept j < i.  Blocks bound the Gram matrices; within
@@ -169,70 +142,44 @@ def _first_on_each_line(units: np.ndarray, threshold: float) -> np.ndarray:
     return keep
 
 
-def _ring_gcd(axis: np.ndarray, sites: np.ndarray, tol: float) -> int:
-    """gcd of site counts over latitude rings; 0 when no off-axis site."""
-    lat = sites @ axis
-    values = np.sort(lat[np.abs(lat) < math.cos(tol)])
-    ends = np.flatnonzero(np.diff(values) > 2.0 * tol) + 1
-    return math.gcd(*np.diff(ends, prepend=0, append=len(values)).tolist())
+def _frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal frames with columns a, e and a x e, where e is the
+    normalized part of b orthogonal to a (rows of a and b pair up)."""
+    e = b - np.sum(a * b, axis=-1, keepdims=True) * a
+    e /= np.linalg.norm(e, axis=-1, keepdims=True)
+    return np.stack([a, e, np.cross(a, e)], axis=-1)
 
 
-def _max_cyclic_order(axis: np.ndarray, sites: np.ndarray, mult: np.ndarray,
-                      tol: float, n: int) -> int:
-    top = min(_ring_gcd(axis, sites, tol), n)
-    for m in range(top, 1, -1):
-        if top % m == 0 and _maps_sites(Rotation(axis, TWO_PI / m).matrix(), sites, mult, tol):
-            return m
-    return 1
+def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
+    """Every rotation that permutes the sites, identity first, as a
+    (count, 3, 3) stack.
 
-
-def _generate_group(axes: np.ndarray, sites: np.ndarray, mult: np.ndarray,
-                    tol: float, n: int, mat_tol: float) -> np.ndarray:
-    """The rotations generated by the validated cyclic steps about `axes`,
-    identity first, as a (count, 3, 3) stack."""
-    found = np.empty((_CLOSURE_CAP + 1, 3, 3))
-    found[0] = np.eye(3)
-    count = 1
-
-    def extend(mats):
-        # Append, in order, each of `mats` at L1 distance >= mat_tol from all found
-        # rotations that still maps the sites (products drift).  L1 < mat_tol bounds
-        # the Euclidean distance, so |a|^2 + |b|^2 - 2 a.b < mat_tol^2 + 1e-12 screens.
-        nonlocal count
-        flat, known = mats.reshape(-1, 9), found[:count].reshape(-1, 9)
-        sq_dist = ((flat ** 2).sum(axis=1)[:, None] + (known ** 2).sum(axis=1)
-                   - 2.0 * flat @ known.T)
-        rows, cols = np.nonzero(sq_dist < mat_tol ** 2 + 1e-12)
-        novel = np.ones(len(flat), dtype=bool)
-        novel[rows[np.abs(flat[rows] - known[cols]).sum(axis=1) < mat_tol]] = False
-        start = count
-        for mat in mats[novel]:
-            appended = found[start:count].reshape(-1, 9)
-            if (count <= _CLOSURE_CAP
-                    and np.all(np.abs(appended - mat.ravel()).sum(axis=1) >= mat_tol)
-                    and _maps_sites(mat, sites, mult, tol)):
-                found[count] = mat
-                count += 1
-
-    steps = []
-    for axis in axes:
-        m = _max_cyclic_order(axis, sites, mult, tol, n)
-        if m >= 2:
-            steps.append(Rotation(axis, TWO_PI / m).matrix())
-            powers = [np.eye(3)]
-            for _ in range(m - 1):
-                powers.append(steps[-1] @ powers[-1])
-            extend(np.array(powers[1:]))
-    # Breadth-first closure, the stack doubling as the queue: each rotation,
-    # in the order found, is multiplied by every step once, a few rotations
-    # at a time to keep the temporaries small.
-    steps = np.reshape(steps, (-1, 3, 3))
-    head = 0
-    while head < count <= _CLOSURE_CAP:
-        batch = found[head:min(count, head + _CLOSURE_BATCH)]
-        head += len(batch)
-        extend((batch[:, None] @ steps).reshape(-1, 3, 3))
-    return found[:count]
+    A rotation is fixed by the images of two non-collinear sites.  s0 is a
+    site of the rarest multiplicity and s1 the site most orthogonal to it;
+    each pair (t0, t1) of sites with the same multiplicities and the same
+    angle, within 2 tol, gives the candidate F(t0, t1) F(s0, s1)^T, which
+    is kept when it sends every site within chord distance tol of a site of
+    equal multiplicity, one to one."""
+    values, counts = np.unique(mult, return_counts=True)
+    i0 = int(np.argmax(mult == values[np.argmin(counts)]))
+    i1 = int(np.argmin(np.abs(sites @ sites[i0])))
+    angles = pairwise_angles(sites, sites)
+    match = ((np.abs(angles - angles[i0, i1]) <= 2.0 * tol)
+             & (mult[:, None] == mult[i0]) & (mult[None, :] == mult[i1]))
+    np.fill_diagonal(match, False)
+    match[i0, i1] = False  # the identity, listed exactly
+    t0, t1 = np.nonzero(match)
+    found = [np.eye(3)[None]]
+    for start in range(0, len(t0), _CANDIDATE_BLOCK):
+        block = slice(start, start + _CANDIDATE_BLOCK)
+        mats = _frames(sites[t0[block]], sites[t1[block]]) @ _frames(sites[i0], sites[i1]).T
+        images = sites @ mats.transpose(0, 2, 1)
+        nearest = np.argmax(images @ sites.T, axis=2)
+        close = np.linalg.norm(images - sites[nearest], axis=2) <= tol
+        one_to_one = np.all(np.diff(np.sort(nearest, axis=1), axis=1) > 0, axis=1)
+        keep = np.all(close & (mult[nearest] == mult), axis=1) & one_to_one
+        found.append(mats[keep])
+    return np.concatenate(found)
 
 
 def _axis_bins(rotations, axis_tol: float = _MAT_TOL):
@@ -285,8 +232,8 @@ def _classify(mats: np.ndarray, mat_tol: float = _MAT_TOL):
         return OCTAHEDRAL, 0, principal, bins, elements
     if size == 60 and top == 5:
         return ICOSAHEDRAL, 0, principal, bins, elements
-    # Incomplete census (tolerance drift or the closure cap): degrade to the
-    # best cyclic subgroup rather than guess.
+    # Incomplete census (tolerance drift): degrade to the best cyclic
+    # subgroup rather than guess.
     return CYCLIC, top, principal, bins, elements
 
 
@@ -305,7 +252,7 @@ def _pick_generators(kind: str, order: int, principal: np.ndarray,
             Rotation(second["axis"], TWO_PI / second["order"]))
 
 
-def detect_group(config: MajoranaConfig, tol: float = 1e-6) -> SymmetryReport:
+def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> SymmetryReport:
     """Largest rotation group permuting the configuration's point multiset."""
     sites, mult = site_decomposition(config.unit_vectors(), tol)
     bins = []
@@ -321,12 +268,15 @@ def detect_group(config: MajoranaConfig, tol: float = 1e-6) -> SymmetryReport:
         else:
             report = SymmetryReport(SO2, 0, axis, (), (), False, "")
     else:
-        # At loose site tolerances the collected matrices carry comparable
-        # error, so the dedupe threshold has to widen with them.
+        # At loose site tolerances the listed matrices carry comparable
+        # error, so the census threshold has to widen with them.
         mat_tol = max(_MAT_TOL, 4.0 * tol)
-        axes = _candidate_axes(sites, mult, tol)
-        mats = _generate_group(axes, sites, mult, tol, config.n, mat_tol)
-        kind, order, principal, bins, elements = _classify(mats, mat_tol)
+        kind, order, principal, bins, elements = _classify(_list_group(sites, mult, tol),
+                                                           mat_tol)
+        if kind == CYCLIC:
+            # Sites closer than 2 tol let near-rotations pass as symmetries,
+            # but a cyclic group never has more elements than there are sites.
+            order = min(order, len(sites))
         generators = _pick_generators(kind, order, principal, bins, tuple(elements))
         report = SymmetryReport(kind, order, principal, generators,
                                 tuple(elements), False, "")
@@ -435,7 +385,7 @@ def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndar
     return _ti_polyhedral(n, kind, bins, sites, mult, tol)
 
 
-def contains_dihedral(config: MajoranaConfig, m: int, tol: float = 1e-6) -> bool:
+def contains_dihedral(config: MajoranaConfig, m: int, tol: float = COINCIDENCE_TOL) -> bool:
     """Whether some dihedral group D_m (order-m rotation plus perpendicular
     flip) preserves the configuration, regardless of the maximal group."""
     if m < 2:

@@ -97,6 +97,30 @@ def test_slocc_command(capsys, tmp_path):
     assert payload["signature_first"] == [1, 1, 1, 1]
 
 
+def test_slocc_command_reuses_the_verdicts_signatures(capsys, tmp_path, monkeypatch):
+    # the printed signatures are the ones slocc_distinguish computed; two
+    # states cost two root findings there and one for the rank bound
+    from majorana import cli, entanglement, slocc
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return majorana.to_majorana(state)
+
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    run(capsys, "gen", "tetrahedral", "-o", str(a))
+    run(capsys, "gen", "ghz", "--n", "4", "-o", str(b))
+    for module in (cli, slocc, entanglement):
+        monkeypatch.setattr(module, "to_majorana", counting)
+    code, out, _ = run(capsys, "slocc", str(a), str(b))
+    assert code == 0
+    assert len(calls) <= 3
+    payload = json.loads(out)
+    assert set(payload) == {"result", "reason", "signature_first", "signature_second"}
+    assert payload["signature_first"] == payload["signature_second"] == [1, 1, 1, 1]
+
+
 def test_table4_command(capsys):
     code, out, _ = run(capsys, "table4")
     assert code == 0

@@ -50,6 +50,23 @@ def test_signature_ambiguity_flag():
     assert sig.ambiguous
 
 
+def test_ambiguous_signatures_prove_nothing():
+    # b = diag(1, c)^(x5) a is an invertible local operation on a, so the two
+    # are SLOCC-equivalent, yet it pulls a's two points 1.5e-6 rad apart
+    # within the 1e-6 clustering tolerance and the signatures differ
+    from majorana import SymmetricState
+    points = np.array([[0.9, 0.3], [0.9 + 1.5e-6, 0.3], [2.0, 1.7], [1.3, 4.0], [2.6, 5.5]])
+    a = to_dicke(MajoranaConfig(5, points))
+    for c in (0.5, 0.3, 0.2):
+        b = SymmetricState(5, a.amps * c ** np.arange(6))
+        verdict = slocc_distinguish(a, b)
+        assert verdict.result == UNDETERMINED, (c, verdict.reason)
+        assert "signatures" in verdict.reason
+        sig_a, sig_b = verdict.signatures
+        assert sig_a.multiplicities != sig_b.multiplicities, c
+        assert sig_a.ambiguous or sig_b.ambiguous, c
+
+
 def test_signature_rotation_invariance_is_exact():
     rng = np.random.default_rng(3)
     cfg = to_majorana(gen_dihedral(6, 2))

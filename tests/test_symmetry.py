@@ -21,7 +21,7 @@ from majorana.catalog import (
     gen_platonic,
     gen_tetrahedral,
 )
-from majorana.symstate import Rotation, site_decomposition, unit_to_angles
+from majorana.symstate import Rotation, unit_to_angles
 
 from helpers import perturb_config, random_rotation, rotate_points
 
@@ -267,48 +267,8 @@ def test_moving_one_point_breaks_each_solid(where, psi):
         assert not report.totally_invariant, solid
 
 
-# Reference implementations as plain loops.  The group: every power of each
-# validated step is collected, then all pairs of rotations found are
-# multiplied until nothing new appears, with membership tested against a
-# stack rebuilt for each candidate.  Then candidate axes, the greedy line
-# dedupe, axis bins and ring gcds, one rotation or one line at a time.
-
-
-def _is_known(mats, candidate, mat_tol):
-    stack = np.array(mats)
-    return bool(np.min(np.abs(stack - candidate).sum(axis=(1, 2))) < mat_tol)
-
-
-def _collect_rotations(axes, sites, mult, tol, n, mat_tol):
-    mats = [np.eye(3)]
-    for axis in axes:
-        m = symmetry._max_cyclic_order(axis, sites, mult, tol, n)
-        if m < 2:
-            continue
-        step = Rotation(axis, 2 * np.pi / m).matrix()
-        mat = np.eye(3)
-        for _ in range(m - 1):
-            mat = step @ mat
-            if not _is_known(mats, mat, mat_tol) and symmetry._maps_sites(mat, sites, mult, tol):
-                mats.append(mat)
-    return mats
-
-
-def _close_group(mats, sites, mult, tol, mat_tol, cap=240):
-    changed = True
-    while changed and len(mats) <= cap:
-        changed = False
-        snapshot = list(mats)
-        for a in snapshot:
-            for b in snapshot:
-                prod = a @ b
-                if not _is_known(mats, prod, mat_tol):
-                    if symmetry._maps_sites(prod, sites, mult, tol):
-                        mats.append(prod)
-                        changed = True
-            if len(mats) > cap:
-                break
-    return mats
+# Reference implementations as plain loops: the greedy line dedupe and the
+# axis bins, one line or one rotation at a time.
 
 
 def _canonical_axis_loop(v):
@@ -316,23 +276,6 @@ def _canonical_axis_loop(v):
     top = max(abs(c) for c in v)
     lead = next(c for c in v if abs(c) >= top - 1e-9)
     return -v if lead < 0 else v.copy()
-
-
-def _candidate_axes_loop(sites, tol):
-    raw = [s for s in sites]
-    for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
-            for v in (sites[i] + sites[j], np.cross(sites[i], sites[j])):
-                norm = np.linalg.norm(v)
-                if norm > 1e-8:
-                    raw.append(v / norm)
-    threshold = math.cos(min(10.0 * tol, 0.1))
-    kept = []
-    for v in raw:
-        v = _canonical_axis_loop(v)
-        if not kept or not np.any(np.abs(np.array(kept) @ v) >= threshold):
-            kept.append(v)
-    return np.array(kept)
 
 
 def _first_on_each_line_loop(units, threshold):
@@ -353,17 +296,6 @@ def _axis_bins_loop(rotations, axis_tol):
         else:
             bins.append({"axis": axis, "count": 1})
     return [(entry["axis"], entry["count"]) for entry in bins]
-
-
-def _ring_gcd_loop(axis, sites, tol):
-    lat = sites @ axis
-    values = np.sort(lat[np.abs(lat) < math.cos(tol)])
-    g = start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > 2.0 * tol:
-            g = math.gcd(g, i - start)
-            start = i
-    return g
 
 
 def _orbit_config(elements, rng, orbits=1):
@@ -388,22 +320,10 @@ def _reference_configs():
     return solids + rotated + orbits + dihedral + noise
 
 
-def test_closure_matches_pairwise_reference():
+def test_axis_bins_match_greedy_loop():
     for cfg in _reference_configs():
-        tol = 1e-6
-        mat_tol = max(symmetry._MAT_TOL, 4.0 * tol)
-        sites, mult = site_decomposition(cfg.unit_vectors(), tol)
+        mat_tol = max(symmetry._MAT_TOL, 4.0 * 1e-6)
         report = detect_group(cfg)
-        # all candidate axes, and the generator axes alone, which leave most
-        # of the group to the closure
-        for axes in (symmetry._candidate_axes(sites, mult, tol),
-                     np.array([g.axis for g in report.generators])):
-            collected = _collect_rotations(axes, sites, mult, tol, cfg.n, mat_tol)
-            reference = np.array(_close_group(collected, sites, mult, tol, mat_tol))
-            found = symmetry._generate_group(axes, sites, mult, tol, cfg.n, mat_tol)
-            assert found.shape == reference.shape
-            gaps = np.abs(found[:, None] - reference[None]).max(axis=(2, 3))
-            assert gaps.min(axis=0).max() < 1e-12 and gaps.min(axis=1).max() < 1e-12
         # the census bins the reported elements as the loop did
         nonid = report.elements[1:]
         bins = symmetry._axis_bins(nonid, mat_tol)
@@ -414,17 +334,70 @@ def test_closure_matches_pairwise_reference():
             assert np.array_equal(entry["axis"], axis)
 
 
-def test_vectorised_axes_match_loops():
-    for cfg in _reference_configs():
-        sites, mult = site_decomposition(cfg.unit_vectors(), 1e-6)
-        if np.linalg.norm(mult @ sites) > 1e-5 * mult.sum():
-            continue  # the centroid shortcut returns one axis either way
-        axes = symmetry._candidate_axes(sites, mult, 1e-6)
-        expected = _candidate_axes_loop(sites, 1e-6)
-        assert axes.shape == expected.shape
-        np.testing.assert_allclose(axes, expected, rtol=0, atol=1e-15)
-        for axis in axes:
-            assert symmetry._ring_gcd(axis, sites, 1e-6) == _ring_gcd_loop(axis, sites, 1e-6)
+def _closed_group(generators):
+    """Every product of the generator matrices, by a plain breadth-first loop."""
+    mats, frontier = [np.eye(3)], [np.eye(3)]
+    while frontier:
+        fresh = []
+        for mat in frontier:
+            for gen in generators:
+                prod = gen @ mat
+                if min(np.abs(prod - known).max() for known in mats) > 1e-9:
+                    mats.append(prod)
+                    fresh.append(prod)
+        frontier = fresh
+    return np.array(mats)
+
+
+def _turn(axis, order):
+    return Rotation(np.array(axis, dtype=float), 2 * np.pi / order).matrix()
+
+
+_GOLDEN = (1 + 5 ** 0.5) / 2
+_KNOWN_GROUPS = {
+    "T": [_turn((0, 0, 1), 2), _turn((1, 1, 1), 3)],
+    "O": [_turn((0, 0, 1), 4), _turn((1, 1, 1), 3)],
+    "Y": [_turn((0, 1, _GOLDEN), 5), _turn((1, 1, 1), 3)],
+    **{f"C{m}": [_turn((0, 0, 1), m)] for m in range(3, 9)},
+    **{f"D{m}": [_turn((0, 0, 1), m), _turn((1, 0, 0), 2)] for m in range(3, 9)},
+}
+
+
+def test_detection_matches_known_groups():
+    # one and two generic orbits of each group, turned by a random r: the
+    # detected elements must be r G r^-1.  No site, pair sum or pair cross
+    # product of a generic T orbit lies on a three-fold axis.
+    rng = np.random.default_rng(8)
+    for label, generators in _KNOWN_GROUPS.items():
+        group = _closed_group(generators)
+        for orbits in (1, 2):
+            turn = random_rotation(rng).matrix()
+            starts = rng.normal(size=(orbits, 3))
+            starts /= np.linalg.norm(starts, axis=1)[:, None]
+            vecs = np.concatenate([turn @ group @ start for start in starts])
+            theta, phi = unit_to_angles(vecs)
+            report = detect_group(MajoranaConfig(len(vecs), np.column_stack([theta, phi])))
+            assert report.label == label, (label, orbits)
+            found = np.array([e.matrix() for e in report.elements])
+            expected = turn @ group @ turn.T
+            assert found.shape == expected.shape, (label, orbits)
+            gaps = np.abs(found[:, None] - expected[None]).max(axis=(2, 3))
+            assert gaps.min(axis=0).max() < 1e-12 and gaps.min(axis=1).max() < 1e-12
+
+
+def test_sixty_four_points():
+    ring = _config(gen_ghz(64))
+    report = detect_group(ring)
+    assert report.label == "D64"
+    assert len(report.elements) == 128
+    noise = _config(random_symmetric_state(64, np.random.default_rng(64)))
+    assert detect_group(noise, tol=0.1).label == "Trivial"
+    # at tol 5e-2 the ring's 0.098 rad spacing is within 2 tol, so
+    # near-rotations pass as symmetries; the report degrades to a cyclic
+    # group no larger than the ring
+    report = detect_group(ring, tol=5e-2)
+    assert report.kind == symmetry.CYCLIC
+    assert report.order <= 64
 
 
 def test_line_dedupe_matches_greedy_loop_on_chains():
