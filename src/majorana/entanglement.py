@@ -8,14 +8,19 @@ c_i = u.v_i and a_i the chart components of v_i.  One product
 [u; e1; e2] @ V^T gives all three for a batch of points.
 
 `geometric_measure` runs one batched saddle-free Newton ascent (Dauphin et
-al., NeurIPS 2014) from every start at once: deterministic lattice starts,
-the antipodes of the configuration points and seeded random extras.  Each
-start steps by sum_k (g.v_k) / |lambda_k| v_k over the eigenpairs of its
-2x2 chart Hessian, clipped to 0.5 rad, so it climbs out of saddles and
-minima and does not zig-zag in ill-conditioned valleys.  Accept decisions
-compare sum_i log p_i, which is monotone in F.  A start drops out once its
-gradient is at most 1e-8, or once its log value has gained at most 1e-9 for
-three sweeps in a row.  Up to three winners within 1e-3 of the best value
+al., NeurIPS 2014) from every start at once: a Fibonacci lattice of
+max(32, n^2) points plus 8 seeded random extras.  No start is placed on
+the antipode of a configuration point: F vanishes there, and near a zero
+the Newton step is about as long as the distance to it, so such a start
+only doubles that distance per sweep and would set the sweep count.  Nor
+on the points themselves, which are zeros too whenever the configuration
+is centrally symmetric (GHZ, the octahedron, cube, icosahedron and
+dodecahedron).  Each start steps by sum_k (g.v_k) / |lambda_k| v_k over
+the eigenpairs of its 2x2 chart Hessian, clipped to 0.5 rad, so it climbs
+out of saddles and minima and does not zig-zag in ill-conditioned valleys.
+Accept decisions compare sum_i log p_i, which is monotone in F.  A start
+drops out once its gradient is at most 1e-8, or once its log value has
+gained at most 1e-9 for three sweeps in a row.  Up to three winners within 1e-3 of the best value
 and at least 1e-2 rad apart are then polished together by the same routine,
 to the gradient tolerance, and the best polished one is returned.  For
 n >= 3 the closest product states are the global maximizers, so a few
@@ -28,16 +33,16 @@ and the poles, are polished by the same routine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .symstate import (
+    MajoranaConfig,
     SymmetricState,
     Rotation,
     angles_to_unit,
     binomial_weights,
-    cluster_directions,
     coherent_amplitudes,
     coherent_matrix,
     to_majorana,
@@ -110,7 +115,9 @@ class EntanglementResult:
     `starts_used` counts ascent starts (grid cells for `grid_oracle`),
     `iterations` the ascent sweeps run (0 when no ascent ran), and
     `max_gradient_norm` is the final polish's gradient norm, which
-    `converged` compares with the polish tolerance.
+    `converged` compares with the polish tolerance.  `config` is the
+    state's configuration the optimizer ran on, for callers that need it
+    again; it is None when a product state was recognized without one.
     """
 
     lam: float
@@ -121,10 +128,12 @@ class EntanglementResult:
     converged: bool
     max_gradient_norm: float
     iterations: int
+    config: MajoranaConfig | None = field(default=None, compare=False, repr=False)
 
 
 def _make_result(lam: float, direction, starts_used: int, converged: bool,
-                 gradient_norm: float, iterations: int) -> EntanglementResult:
+                 gradient_norm: float, iterations: int,
+                 config: MajoranaConfig | None = None) -> EntanglementResult:
     lam = min(float(lam), 1.0)
     if lam >= 1.0 - _SNAP_ONE:
         lam = 1.0
@@ -132,8 +141,8 @@ def _make_result(lam: float, direction, starts_used: int, converged: bool,
     if eg == 0.0:
         eg = 0.0  # normalize -0.0
     theta, phi = float(direction[0]), float(direction[1])
-    return EntanglementResult(lam, eg, theta, phi, int(starts_used),
-                              bool(converged), float(gradient_norm), int(iterations))
+    return EntanglementResult(lam, eg, theta, phi, int(starts_used), bool(converged),
+                              float(gradient_norm), int(iterations), config)
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -291,13 +300,15 @@ def _best_refined(amps: np.ndarray, mp_units: np.ndarray,
 
 
 def _start_points(config_units: np.ndarray, n: int, cfg: OptimizerConfig) -> np.ndarray:
+    """The Fibonacci lattice of `cfg.resolve_starts(n)` points plus 8 seeded
+    random extras.  No start goes on an antipode of a configuration point:
+    F vanishes there, and a start near a zero only doubles its distance
+    from it per sweep."""
     lattice = fibonacci_sphere(cfg.resolve_starts(n))
-    clusters = cluster_directions(config_units, 1e-9)
-    antipodes = np.array([-config_units[idx[0]] for idx in clusters])
     rng = np.random.default_rng(cfg.seed)
     extras = rng.standard_normal((8, 3))
     extras /= np.linalg.norm(extras, axis=1)[:, None]
-    starts = np.vstack([lattice, antipodes, extras])
+    starts = np.vstack([lattice, extras])
     # A start exactly opposite a configuration point sits on a log-pole of
     # the objective; nudge such starts by a small deterministic rotation.
     p = 0.5 * (1.0 + starts @ config_units.T)
@@ -340,13 +351,14 @@ def geometric_measure(state: SymmetricState,
     coherent = _coherent_direction(state.amps)
     if coherent is not None:
         return _make_result(1.0, coherent, 0, True, 0.0, 0)
-    mp_units = to_majorana(state).unit_vectors()
+    config = to_majorana(state)
+    mp_units = config.unit_vectors()
     starts = _start_points(mp_units, state.n, cfg)
     units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL, _MAX_SWEEPS)
     winners = _distinct_winners(units, _overlap_sq(state.amps, units))
     best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, units[winners])
     return _make_result(best_value, unit_to_angles(best_u), len(starts),
-                        best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, sweeps)
+                        best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, sweeps, config)
 
 
 def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementResult:
@@ -369,11 +381,12 @@ def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementRes
     best = np.unravel_index(np.argmax(values), values.shape)
     candidates = np.array([angles_to_unit(theta[best[0]], phi[best[1]]),
                            [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    mp_units = to_majorana(state).unit_vectors()
+    config = to_majorana(state)
+    mp_units = config.unit_vectors()
     # Skip a candidate exactly opposite a configuration point: its overlap
     # vanishes and the log objective has a pole there.
     off_pole = (0.5 * (1.0 + candidates @ mp_units.T)).min(axis=1) > 1e-12
     off_pole |= _overlap_sq(state.amps, candidates) >= 1e-30
     best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, candidates[off_pole])
     return _make_result(best_value, unit_to_angles(best_u), resolution * resolution,
-                        best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0)
+                        best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0, config)

@@ -10,6 +10,13 @@ states and the GHZ family) against the other state's lower bound
 ceil(2^E_G); the bound exceeding the known rank is again a proof.
 Everything else is reported Undetermined: the tool never claims
 equivalence.
+
+The signature route is not sound for close pairs beyond twice the
+tolerance: an invertible local operation can bring two distinct points
+arbitrarily close, so with two of five points 3e-6 rad apart at tol 1e-6
+and b = diag(1, c)^(x5) a for c = 0.2, 0.1 or 0.05, the signatures read
+(1,1,1,1,1) against (2,1,1,1), neither is ambiguous, and equivalent
+states are reported Inequivalent.  A Möbius-map test would settle it.
 """
 from __future__ import annotations
 
@@ -140,6 +147,13 @@ def schmidt_bound(state: SymmetricState, config: MajoranaConfig,
     return SchmidtBound(r_lower, GEOMETRIC_BOUND)
 
 
+def _configuration(state: SymmetricState, ent: EntanglementResult | None) -> MajoranaConfig:
+    """The configuration `ent` already holds for `state`, else a fresh one."""
+    if ent is not None and ent.config is not None:
+        return ent.config
+    return to_majorana(state)
+
+
 def slocc_distinguish(a: SymmetricState, b: SymmetricState,
                       cfg: OptimizerConfig | None = None,
                       tol: float = COINCIDENCE_TOL,
@@ -148,11 +162,13 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
     """Inequivalence proof if one exists, else Undetermined.
 
     Precomputed optimizer results may be passed to avoid repeated work in
-    pairwise sweeps.
+    pairwise sweeps: `ent_a` and `ent_b` must be results for `a` and `b`,
+    whose configurations are then reused instead of finding the roots
+    again.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    config_a, config_b = to_majorana(a), to_majorana(b)
+    config_a, config_b = _configuration(a, ent_a), _configuration(b, ent_b)
     signatures = sig_a, sig_b = (degeneracy_signature(config_a, tol),
                                  degeneracy_signature(config_b, tol))
     undetermined = None

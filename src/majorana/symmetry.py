@@ -207,12 +207,19 @@ def _fix_half_turn(rot: Rotation) -> Rotation:
     return Rotation(_canonical_axis(rot.axis), rot.angle)
 
 
+def _elements(mats: np.ndarray) -> list[Rotation]:
+    """Rotations of a stack whose first matrix is the identity: the identity
+    first, then the rest sorted by angle and axis."""
+    nonid = sorted((_fix_half_turn(Rotation.from_matrix(mat)) for mat in mats[1:]),
+                   key=lambda r: (round(r.angle, 9), tuple(np.round(r.axis, 9))))
+    return [Rotation.identity()] + nonid
+
+
 def _classify(mats: np.ndarray, mat_tol: float = _MAT_TOL):
     """Census of the closed rotation stack (identity first, nothing else within
     `mat_tol` of it) -> (kind, order, principal, bins, elements)."""
-    nonid = sorted((_fix_half_turn(Rotation.from_matrix(mat)) for mat in mats[1:]),
-                   key=lambda r: (round(r.angle, 9), tuple(np.round(r.axis, 9))))
-    elements = [Rotation.identity()] + nonid
+    elements = _elements(mats)
+    nonid = elements[1:]
     if not nonid:
         return TRIVIAL, 0, None, [], elements
     bins = _axis_bins(nonid, mat_tol)
@@ -276,7 +283,11 @@ def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> Symmet
         if kind == CYCLIC:
             # Sites closer than 2 tol let near-rotations pass as symmetries,
             # but a cyclic group never has more elements than there are sites.
+            # List the group the label names, the powers of its generator,
+            # rather than every near-rotation that passed.
             order = min(order, len(sites))
+            elements = _elements(np.stack([Rotation(principal, TWO_PI * k / order).matrix()
+                                           for k in range(order)]))
         generators = _pick_generators(kind, order, principal, bins, tuple(elements))
         report = SymmetryReport(kind, order, principal, generators,
                                 tuple(elements), False, "")

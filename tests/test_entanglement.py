@@ -14,6 +14,7 @@ from majorana import (
     random_symmetric_state,
     rotate_state,
     SymmetricState,
+    to_majorana,
 )
 from majorana.catalog import (
     gen_dicke,
@@ -218,3 +219,27 @@ def test_near_coincident_cluster_counts_as_product():
     state = SymmetricState(2, amps)
     result = geometric_measure(state)
     assert result.lam == 1.0
+
+
+def test_start_set_is_lattice_plus_extras():
+    # no start sits on an antipode of a configuration point, where F vanishes
+    for state in (gen_ghz(4), gen_platonic("icosahedron"),
+                  random_symmetric_state(20, np.random.default_rng(20))):
+        result = geometric_measure(state)
+        assert result.starts_used == max(32, state.n ** 2) + 8, state.n
+
+
+def test_inventory_sweep_budget():
+    # a start near a zero of F only doubles its distance from it per sweep;
+    # with antipode starts the inventory took 2 368 sweeps
+    states = [entry.state for n in range(3, 15) for entry in totally_invariant_states(n)]
+    assert len(states) == 141
+    assert sum(geometric_measure(state).iterations for state in states) <= 1900
+
+
+def test_result_carries_its_configuration():
+    state = gen_dihedral(7, 2)
+    config = to_majorana(state)
+    assert geometric_measure(state).config == config
+    assert grid_oracle(state, 40).config == config
+    assert geometric_measure(SymmetricState(3, coherent_amplitudes(3, 0.4, 0.2))).config is None

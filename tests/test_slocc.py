@@ -174,7 +174,8 @@ def test_precomputed_entanglement_is_honored():
 
 
 def test_one_root_finding_per_state(monkeypatch):
-    # the signatures, known ranks and rank bounds share each configuration
+    # the signatures, known ranks and rank bounds share each configuration,
+    # and passed results already carry it
     from majorana import slocc
     calls = []
 
@@ -185,7 +186,10 @@ def test_one_root_finding_per_state(monkeypatch):
     monkeypatch.setattr(slocc, "to_majorana", counting)
     for a, b in ((gen_ghz(4), gen_ghz(4)), (gen_ghz(5), gen_dihedral(5, 1)),
                  (gen_tetrahedral(), gen_ghz(4))):
+        ent_a, ent_b = geometric_measure(a), geometric_measure(b)
         calls.clear()
-        verdict = slocc_distinguish(a, b, ent_a=geometric_measure(a),
-                                    ent_b=geometric_measure(b))
-        assert len(calls) == 2, verdict
+        with_results = slocc_distinguish(a, b, ent_a=ent_a, ent_b=ent_b)
+        assert len(calls) == 0, with_results
+        without = slocc_distinguish(a, b)
+        assert len(calls) == 2, without
+        assert without == with_results

@@ -456,3 +456,17 @@ def test_half_turn_order_survives_seeded_noise():
             for got, want in zip(elements, expected):
                 assert abs(got.angle - want.angle) < 1e-12, trial
                 np.testing.assert_allclose(got.axis, want.axis, rtol=0, atol=1e-12)
+
+
+def test_cyclic_fallback_lists_its_group():
+    # at tol 5e-2 near-rotations of the 64-point ring pass as symmetries;
+    # the cyclic report lists the powers of its generator, not all of them
+    tol = 5e-2
+    report = detect_group(_config(gen_ghz(64)), tol=tol)
+    assert report.kind == symmetry.CYCLIC
+    assert len(report.elements) == report.order <= 64
+    assert report.elements[0].angle == 0.0
+    mats = np.stack([element.matrix() for element in report.elements])
+    products = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 1, 3, 3)
+    gaps = np.abs(products - mats[None]).max(axis=(2, 3)).min(axis=1)
+    assert gaps.max() <= max(symmetry._MAT_TOL, 4.0 * tol)
