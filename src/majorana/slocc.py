@@ -6,10 +6,12 @@ signatures are a proof of inequivalence, unless either signature is
 ambiguous: two points between tol and 2 tol apart may or may not belong
 together, and an invertible local operation can pull them within tol.  A
 second route compares a known product-state rank r (known only for product
-states and the GHZ family) against the other state's lower bound
-ceil(2^E_G); the bound exceeding the known rank is again a proof.
-Everything else is reported Undetermined: the tool never claims
-equivalence.
+states and the GHZ family) against the other state's known rank, or else
+its lower bound ceil(2^E_G); a mismatch, or the bound exceeding the known
+rank, is again a proof.  Everything else is reported Undetermined: the
+tool never claims equivalence.  `slocc_distinguish` computes each state's
+signature and known rank once per call, at the caller's `tol`, and the
+geometric measure only when a bound is needed and no result was passed.
 
 The signature route is not sound for close pairs beyond twice the
 tolerance: an invertible local operation can bring two distinct points
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,16 +38,13 @@ from .symstate import (
     COINCIDENCE_TOL,
     MajoranaConfig,
     SymmetricState,
-    cluster_directions,
+    _clusters,
     pairwise_angles,
     to_majorana,
 )
 
 INEQUIVALENT = "Inequivalent"
 UNDETERMINED = "Undetermined"
-
-GEOMETRIC_BOUND = "geometric_measure_bound"
-KNOWN_VALUE = "known_value"
 
 # Slack subtracted before the ceiling so that solver noise around an exact
 # power of two cannot inflate the bound.
@@ -58,12 +58,6 @@ class DegeneracySignature:
 
     def __str__(self):
         return "(" + ",".join(str(m) for m in self.multiplicities) + ")"
-
-
-@dataclass(frozen=True)
-class SchmidtBound:
-    r_lower: int
-    source: str
 
 
 @dataclass(frozen=True)
@@ -89,21 +83,20 @@ def degeneracy_signature(config: MajoranaConfig,
     an `ambiguous` warning flag in that case.
     """
     vecs = config.unit_vectors()
-    clusters = cluster_directions(vecs, tol)
-    sizes = tuple(sorted((len(c) for c in clusters), reverse=True))
     angles = pairwise_angles(vecs, vecs)
+    sizes = tuple(sorted((len(c) for c in _clusters(angles, tol)), reverse=True))
     upper = angles[np.triu_indices(config.n, k=1)]
     ambiguous = bool(np.any((upper > tol) & (upper < 2.0 * tol)))
     return DegeneracySignature(sizes, ambiguous)
 
 
 def _is_great_circle_ring(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> bool:
-    """All points distinct, on one great circle, evenly spaced."""
+    """No two points within `tol`, all on one great circle, evenly spaced."""
     n = config.n
     if n < 2:
         return False
     vecs = config.unit_vectors()
-    if len(cluster_directions(vecs, tol)) != n:
+    if np.any(pairwise_angles(vecs, vecs)[np.triu_indices(n, k=1)] <= tol):
         return False
     # Plane through the origin: the smallest singular value must vanish.
     _, singular, vt = np.linalg.svd(vecs, full_matrices=False)
@@ -132,19 +125,10 @@ def known_rank(state: SymmetricState, config: MajoranaConfig,
     return None
 
 
-def schmidt_bound(state: SymmetricState, config: MajoranaConfig,
-                  ent: EntanglementResult | None = None,
-                  cfg: OptimizerConfig | None = None) -> SchmidtBound:
-    """The known product rank, else the lower bound ceil(2^E_G); `config`
-    is the state's configuration and `ent` its geometric measure, if
-    already computed."""
-    known = known_rank(state, config)
-    if known is not None:
-        return SchmidtBound(known, KNOWN_VALUE)
-    if ent is None:
-        ent = geometric_measure(state, cfg)
-    r_lower = max(1, math.ceil(2.0 ** ent.eg - _BOUND_MARGIN))
-    return SchmidtBound(r_lower, GEOMETRIC_BOUND)
+def _rank_bound(ent: EntanglementResult) -> int:
+    """Lower bound ceil(2^E_G) on the product-state rank of the state `ent`
+    was computed for."""
+    return max(1, math.ceil(2.0 ** ent.eg - _BOUND_MARGIN))
 
 
 def _configuration(state: SymmetricState, ent: EntanglementResult | None) -> MajoranaConfig:
@@ -179,25 +163,19 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
         undetermined = (f"coincidence signatures {sig_a} vs {sig_b} differ, but two "
                         f"points lie between {tol:g} and {2.0 * tol:g} rad apart, so "
                         "they prove nothing")
-    for known_state, known_config, other, other_config, other_ent, names in (
-            (a, config_a, b, config_b, ent_b, ("first", "second")),
-            (b, config_b, a, config_a, ent_a, ("second", "first"))):
-        known = known_rank(known_state, known_config, tol)
-        if known is None:
+    known = known_rank(a, config_a, tol), known_rank(b, config_b, tol)
+    if None not in known and known[0] != known[1]:
+        return Verdict(INEQUIVALENT, f"known product ranks differ: {known[0]} vs {known[1]}",
+                       signatures)
+    names = ("first", "second")
+    for i, j, ent in ((0, 1, ent_b), (1, 0, ent_a)):
+        if known[i] is None or known[j] is not None:
             continue
-        bound = schmidt_bound(other, other_config, other_ent, cfg)
-        if bound.source == KNOWN_VALUE:
-            other_r = bound.r_lower
-            if other_r != known:
-                return Verdict(INEQUIVALENT,
-                               f"known product ranks differ: {known} vs {other_r}",
-                               signatures)
-            continue
-        if bound.r_lower > known:
+        bound = _rank_bound(ent if ent is not None else geometric_measure((a, b)[j], cfg))
+        if bound > known[i]:
             return Verdict(INEQUIVALENT,
-                           f"rank bound of the {names[1]} state "
-                           f"({bound.r_lower}) exceeds the known rank of the "
-                           f"{names[0]} state ({known})", signatures)
+                           f"rank bound of the {names[j]} state ({bound}) exceeds the "
+                           f"known rank of the {names[i]} state ({known[i]})", signatures)
     return Verdict(UNDETERMINED, undetermined, signatures)
 
 
@@ -224,20 +202,13 @@ def four_qubit_table(cfg: OptimizerConfig | None = None):
 
     states = [("T", gen_tetrahedral()), ("GHZ4", gen_ghz(4)),
               ("S(4,2)", gen_dicke(4, 2)), ("W4", gen_dicke(4, 1))]
+    measured = [(name, state, geometric_measure(state, cfg)) for name, state in states]
     rows = []
-    ents = {}
-    for name, state in states:
-        config = to_majorana(state)
-        ent = geometric_measure(state, cfg)
-        ents[name] = ent
-        rows.append(TableRow(name, detect_group(config).label,
-                             degeneracy_signature(config), ent.eg))
-    verdicts = []
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            name_a, state_a = states[i]
-            name_b, state_b = states[j]
-            verdict = slocc_distinguish(state_a, state_b, cfg,
-                                        ent_a=ents[name_a], ent_b=ents[name_b])
-            verdicts.append(PairVerdict(name_a, name_b, verdict))
+    for name, state, ent in measured:
+        config = _configuration(state, ent)
+        rows.append(TableRow(name, detect_group(config).label, degeneracy_signature(config),
+                             ent.eg))
+    verdicts = [PairVerdict(name_a, name_b,
+                            slocc_distinguish(a, b, cfg, ent_a=ent_a, ent_b=ent_b))
+                for (name_a, a, ent_a), (name_b, b, ent_b) in combinations(measured, 2)]
     return tuple(rows), tuple(verdicts)

@@ -160,8 +160,11 @@ class Rotation:
             raise ValueError("rotation axis must be a nonzero 3-vector")
         ax = ax / norm
         ax.flags.writeable = False
+        angle = float(self.angle)
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle must be finite, got {angle!r}")
         object.__setattr__(self, "axis", ax)
-        object.__setattr__(self, "angle", float(self.angle))
+        object.__setattr__(self, "angle", angle)
 
     @staticmethod
     def identity() -> "Rotation":
@@ -329,28 +332,24 @@ def pairwise_angles(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
 def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[np.ndarray]:
     """Single-linkage clusters of directions at angular tolerance `tol`.
 
-    Returns index arrays, ordered by each cluster's smallest member index.
+    Returns index arrays, ordered by each cluster's smallest member index;
+    raises ValueError unless `tol` is finite and positive.
     """
-    m = len(vecs)
-    parent = list(range(m))
+    return _clusters(pairwise_angles(vecs, vecs), tol)
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    ang = pairwise_angles(vecs, vecs)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if ang[i, j] <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(groups[r]) for r in sorted(groups)]
+def _clusters(angles: np.ndarray, tol: float) -> list[np.ndarray]:
+    """`cluster_directions` on a `pairwise_angles` matrix, by min-label
+    propagation: each point takes the smallest label among the points within
+    `tol` of it, itself included, until no label changes."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"coincidence tolerance must be finite and positive, got {tol!r}")
+    near, label, previous = angles <= tol, np.arange(len(angles)), None
+    while not np.array_equal(label, previous):
+        previous = label
+        label = np.minimum(label, np.where(near, label, len(near)).min(axis=1, initial=len(near)))
+    roots = np.flatnonzero(label == np.arange(len(label)))
+    return [np.flatnonzero(label == r) for r in roots]
 
 
 def site_decomposition(vecs: np.ndarray, tol: float):

@@ -14,12 +14,10 @@ from majorana import (
     to_dicke,
 )
 from majorana.slocc import (
-    GEOMETRIC_BOUND,
     INEQUIVALENT,
-    KNOWN_VALUE,
     UNDETERMINED,
+    _rank_bound,
     known_rank,
-    schmidt_bound,
 )
 from majorana.catalog import (
     gen_dicke,
@@ -81,7 +79,7 @@ def _rank(state):
 
 
 def _bound(state, ent=None):
-    return schmidt_bound(state, to_majorana(state), ent)
+    return _rank_bound(geometric_measure(state) if ent is None else ent)
 
 
 def test_known_rank():
@@ -99,14 +97,12 @@ def test_known_rank():
 
 
 def test_schmidt_bound_values():
-    bound = _bound(gen_tetrahedral())
-    assert bound.r_lower == 3
-    assert bound.source == GEOMETRIC_BOUND
-    bound = _bound(gen_ghz(4))
-    assert bound.r_lower == 2
-    assert bound.source == KNOWN_VALUE
+    assert _bound(gen_tetrahedral()) == 3
+    assert _rank(gen_tetrahedral()) is None
+    # the GHZ ring's rank is known, not bounded
+    assert _rank(gen_ghz(4)) == 2
     # W4: lam = 27/64, 64/27 exceeds 2, so the bound reaches 3
-    assert _bound(gen_dicke(4, 1)).r_lower == 3
+    assert _bound(gen_dicke(4, 1)) == 3
 
 
 def test_distinguish_by_signature():
@@ -162,7 +158,7 @@ def test_dihedral_ring_beats_ghz_via_bound():
 
     ent = geometric_measure(gen_dihedral(5, 1))
     assert abs(ent.lam - 5 / 16) < 1e-10
-    assert _bound(gen_dihedral(5, 1), ent).r_lower == 4
+    assert _bound(gen_dihedral(5, 1), ent) == 4
 
 
 def test_precomputed_entanglement_is_honored():
@@ -193,3 +189,45 @@ def test_one_root_finding_per_state(monkeypatch):
         without = slocc_distinguish(a, b)
         assert len(calls) == 2, without
         assert without == with_results
+
+
+def _nudged_ghz5():
+    # the pentagon ring with one point turned 1e-4 rad about the ring's axis
+    config = to_majorana(gen_ghz(5))
+    points = config.points.copy()
+    points[0, 1] += 1e-4
+    return to_dicke(MajoranaConfig(5, points))
+
+
+def test_known_ranks_read_at_the_callers_tolerance():
+    # at tol 1e-3 the nudged ring still counts as GHZ, so its rank is known
+    # on both sides; the verdict must not depend on argument order
+    from majorana import SymmetricState, coherent_amplitudes
+    product = SymmetricState(5, coherent_amplitudes(5, 0.8, 0.3))
+    ring = _nudged_ghz5()
+    assert known_rank(ring, to_majorana(ring), 1e-3) == 2
+    assert known_rank(ring, to_majorana(ring)) is None
+    forward = slocc_distinguish(product, ring, tol=1e-3)
+    backward = slocc_distinguish(ring, product, tol=1e-3)
+    assert forward.result == backward.result == INEQUIVALENT
+    assert forward.reason == "known product ranks differ: 1 vs 2"
+    assert backward.reason == "known product ranks differ: 2 vs 1"
+
+
+def test_one_known_rank_per_state(monkeypatch):
+    from majorana import SymmetricState, coherent_amplitudes, slocc
+    calls = []
+
+    def counting(state, *args):
+        calls.append(state)
+        return known_rank(state, *args)
+
+    monkeypatch.setattr(slocc, "known_rank", counting)
+    product = SymmetricState(5, coherent_amplitudes(5, 0.8, 0.3))
+    for a, b, tol in ((gen_ghz(4), gen_ghz(4), 1e-6), (gen_tetrahedral(), gen_ghz(4), 1e-6),
+                      (gen_ghz(5), gen_dihedral(5, 1), 1e-6), (product, _nudged_ghz5(), 1e-3),
+                      (_nudged_ghz5(), product, 1e-3), (gen_dicke(4, 1), gen_dicke(4, 3), 1e-6)):
+        calls.clear()
+        slocc_distinguish(a, b, tol=tol)
+        assert len(calls) <= 2
+        assert sum(c is a for c in calls) <= 1 and sum(c is b for c in calls) <= 1

@@ -212,6 +212,12 @@ def test_rotate_state_preserves_fidelity_structure():
     assert state_fidelity(back, state) > 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_rotation_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="angle"):
+        Rotation(np.array([0.0, 0.0, 1.0]), angle)
+
+
 def test_rotation_compose_inverse():
     rng = np.random.default_rng(5)
     a, b = random_rotation(rng), random_rotation(rng)
@@ -284,6 +290,61 @@ def test_cluster_chain_linkage():
     points = np.column_stack([thetas, np.zeros(3)])
     clusters = cluster_directions(MajoranaConfig(3, points).unit_vectors(), tol=1e-6)
     assert len(clusters) == 1
+
+
+def _union_find_clusters(vecs, tol):
+    # plain single-linkage reference: union every pair within tol
+    parent = list(range(len(vecs)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    angles = pairwise_angles(vecs, vecs)
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            if angles[i, j] <= tol:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(vecs)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+def test_clusters_match_union_find_reference():
+    rng = np.random.default_rng(29)
+    for case in range(300):
+        n = int(rng.integers(1, 65))
+        tol = float(rng.choice([1e-6, 1e-3, 2e-3, 5e-2, 0.5]))
+        if case % 3 == 0:
+            vecs = rng.standard_normal((n, 3))
+        else:
+            # shuffled chains: steps of 0.3-1.7 tol along a circle offset by one of
+            # three base directions, with a fifth of the points on its start
+            steps = tol * rng.uniform(0.3, 1.7, n)
+            theta = np.cumsum(steps) * (rng.random(n) < 0.8)
+            base = rng.standard_normal((3, 3))[rng.integers(0, 3, n)]
+            base /= np.linalg.norm(base, axis=1)[:, None]
+            vecs = base + np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])
+            vecs = vecs[rng.permutation(n)]
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        clusters = cluster_directions(vecs, tol)
+        assert [c.tolist() for c in clusters] == _union_find_clusters(vecs, tol), (case, n, tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_clustering_tolerance_must_be_finite_and_positive(tol):
+    from majorana import degeneracy_signature, detect_group
+    from majorana.catalog import gen_dicke, gen_ghz
+    vecs = to_majorana(gen_ghz(4)).unit_vectors()
+    with pytest.raises(ValueError, match="tolerance"):
+        cluster_directions(vecs, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        detect_group(to_majorana(gen_ghz(4)), tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        degeneracy_signature(to_majorana(gen_dicke(4, 1)), tol)
 
 
 def test_config_close_permutation_and_perturbation():
