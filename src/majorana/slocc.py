@@ -38,6 +38,7 @@ from .symstate import (
     COINCIDENCE_TOL,
     MajoranaConfig,
     SymmetricState,
+    _check_tolerance,
     _clusters,
     pairwise_angles,
     to_majorana,
@@ -115,7 +116,8 @@ def known_rank(state: SymmetricState, config: MajoranaConfig,
                tol: float = COINCIDENCE_TOL) -> int | None:
     """Product-state rank when recognizable: 1 for product states, 2 for
     the GHZ ring family; otherwise None.  `config` is the state's
-    configuration."""
+    configuration; raises ValueError unless `tol` is finite and positive."""
+    _check_tolerance(tol)
     # the coherent test works in amplitude space; clustering the computed
     # points would miss it because multiple roots smear under root finding
     if _coherent_direction(state.amps) is not None:

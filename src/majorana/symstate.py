@@ -338,12 +338,18 @@ def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[n
     return _clusters(pairwise_angles(vecs, vecs), tol)
 
 
+def _check_tolerance(tol: float) -> None:
+    """Raise ValueError unless the coincidence tolerance `tol` is finite
+    and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"coincidence tolerance must be finite and positive, got {tol!r}")
+
+
 def _clusters(angles: np.ndarray, tol: float) -> list[np.ndarray]:
     """`cluster_directions` on a `pairwise_angles` matrix, by min-label
     propagation: each point takes the smallest label among the points within
     `tol` of it, itself included, until no label changes."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"coincidence tolerance must be finite and positive, got {tol!r}")
+    _check_tolerance(tol)
     near, label, previous = angles <= tol, np.arange(len(angles)), None
     while not np.array_equal(label, previous):
         previous = label

@@ -96,6 +96,13 @@ def test_known_rank():
     assert _rank(gen_dicke(4, 2)) is None
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_known_rank_tolerance_must_be_finite_and_positive(tol):
+    state = gen_ghz(4)
+    with pytest.raises(ValueError, match="tolerance"):
+        known_rank(state, to_majorana(state), tol)
+
+
 def test_schmidt_bound_values():
     assert _bound(gen_tetrahedral()) == 3
     assert _rank(gen_tetrahedral()) is None
