@@ -179,8 +179,7 @@ def _cmd_table4(args) -> int:
 def _cmd_twirl(args) -> int:
     state = _load_state(args.input)
     ent = geometric_measure(state, _optimizer_config(args))
-    config = to_majorana(state) if ent.config is None else ent.config
-    report = detect_group(config, _tolerance(args))
+    report = detect_group(ent.config, _tolerance(args))
     certificate = certify_equivalence(
         state, ent, report,
         require_total_invariance=not args.allow_non_invariant)

@@ -31,11 +31,12 @@ sweeps.  Up to three winners within 1e-3 of the best value and at least
 1e-2 rad apart are then polished together by the same routine, to the
 gradient tolerance, and the best polished one is returned.  For
 n >= 3 the closest product states are the global maximizers, so a few
-distinct ascent winners suffice.  Lambda is always evaluated through the
-amplitude form (numerically exact) with one coherent-state kernel,
-`symstate.coherent_matrix`.  `grid_oracle` is the independent check: a
-separable theta x phi evaluation on an equal-area grid whose best cell,
-and the poles, are polished by the same routine.
+distinct ascent winners suffice; a product state, one exact n-fold point
+from `to_majorana`, needs no ascent (Lambda = 1).  Lambda is always
+evaluated through the amplitude form (numerically exact) with one
+coherent-state kernel, `symstate.coherent_matrix`.  `grid_oracle` is the
+independent check: a separable theta x phi evaluation on an equal-area
+grid whose best cell, and the poles, are polished by the same routine.
 """
 from __future__ import annotations
 
@@ -48,9 +49,9 @@ from .symstate import (
     MajoranaConfig,
     SymmetricState,
     Rotation,
+    _binomial_rows,
+    _spinors,
     angles_to_unit,
-    binomial_weights,
-    coherent_amplitudes,
     coherent_matrix,
     to_majorana,
     unit_to_angles,
@@ -125,8 +126,7 @@ class EntanglementResult:
     `iterations` the ascent sweeps run (0 when no ascent ran), and
     `max_gradient_norm` is the final polish's gradient norm, which
     `converged` compares with the polish tolerance.  `config` is the
-    state's configuration the optimizer ran on, for callers that need it
-    again; it is None when a product state was recognized without one.
+    state's configuration, for callers that need it again.
     """
 
     lam: float
@@ -137,12 +137,11 @@ class EntanglementResult:
     converged: bool
     max_gradient_norm: float
     iterations: int
-    config: MajoranaConfig | None = field(default=None, compare=False, repr=False)
+    config: MajoranaConfig = field(compare=False, repr=False)
 
 
-def _make_result(lam: float, direction, starts_used: int, converged: bool,
-                 gradient_norm: float, iterations: int,
-                 config: MajoranaConfig | None = None) -> EntanglementResult:
+def _make_result(lam: float, direction, starts_used: int, converged: bool, gradient_norm: float,
+                 iterations: int, config: MajoranaConfig) -> EntanglementResult:
     lam = min(float(lam), 1.0)
     if lam >= 1.0 - _SNAP_ONE:
         lam = 1.0
@@ -335,37 +334,13 @@ def _start_points(config_units: np.ndarray, n: int, cfg: OptimizerConfig) -> np.
     return starts
 
 
-def _coherent_direction(amps: np.ndarray) -> tuple[float, float] | None:
-    """(theta, phi) when the amplitudes form a spin coherent state.
-
-    Root finding smears an n-fold coincident point by roughly eps^(1/n), so
-    product states must be recognized in amplitude space instead: dividing
-    out the binomial weights leaves a geometric sequence a^(n-k) b^k, whose
-    ratio pins the direction exactly.
-    """
-    n = amps.size - 1
-    g = amps / binomial_weights(n)
-    j = int(np.argmax(np.abs(g)))
-    if j == n and abs(g[n - 1]) == 0.0:
-        theta, phi = math.pi, 0.0
-    else:
-        t = g[j + 1] / g[j] if j < n else g[n] / g[n - 1]
-        theta = 2.0 * math.atan(abs(t))
-        phi = float(np.angle(t)) % (2.0 * math.pi) if t != 0 else 0.0
-    overlap = np.vdot(coherent_amplitudes(n, theta, phi), amps)
-    if abs(overlap) ** 2 >= 1.0 - 1e-10:
-        return theta, phi
-    return None
-
-
 def geometric_measure(state: SymmetricState,
                       cfg: OptimizerConfig | None = None) -> EntanglementResult:
     """Best product overlap Lambda and its direction for one state."""
     cfg = OptimizerConfig() if cfg is None else cfg
-    coherent = _coherent_direction(state.amps)
-    if coherent is not None:
-        return _make_result(1.0, coherent, 0, True, 0.0, 0)
     config = to_majorana(state)
+    if np.all(config.points == config.points[0]):  # a product state
+        return _make_result(1.0, config.points[0], 0, True, 0.0, 0, config)
     mp_units = config.unit_vectors()
     starts = _start_points(mp_units, state.n, cfg)
     units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL, _MAX_SWEEPS)
@@ -380,16 +355,12 @@ def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementRes
     multi-start path so the two can check each other."""
     if resolution < 8:
         raise ValueError("resolution must be at least 8")
-    n = state.n
     j = np.arange(resolution)
     z = 1.0 - (2.0 * j + 1.0) / resolution
     theta = np.arccos(z)
     phi = 2.0 * math.pi * (j + 0.5) / resolution
-    k = np.arange(n + 1)
-    half = 0.5 * theta
-    t = binomial_weights(n) * np.cos(half)[:, None] ** (n - k) \
-        * np.sin(half)[:, None] ** k
-    e = np.exp(-1j * np.outer(phi, k))
+    t = _binomial_rows(*_spinors(theta, 0.0), state.n)
+    e = np.exp(-1j * np.outer(phi, np.arange(state.n + 1)))
     overlaps = (t * state.amps) @ e.T  # rows: theta index, cols: phi index
     values = np.abs(overlaps) ** 2
     best = np.unravel_index(np.argmax(values), values.shape)

@@ -6,12 +6,13 @@ signatures are a proof of inequivalence, unless either signature is
 ambiguous: two points between tol and 2 tol apart may or may not belong
 together, and an invertible local operation can pull them within tol.  A
 second route compares a known product-state rank r (known only for product
-states and the GHZ family) against the other state's known rank, or else
-its lower bound ceil(2^E_G); a mismatch, or the bound exceeding the known
-rank, is again a proof.  Everything else is reported Undetermined: the
-tool never claims equivalence.  `slocc_distinguish` computes each state's
-signature and known rank once per call, at the caller's `tol`, and the
-geometric measure only when a bound is needed and no result was passed.
+states, whose n points `to_majorana` makes exactly equal, and the GHZ
+family) against the other state's known rank, or else its lower bound
+ceil(2^E_G); a mismatch, or the bound exceeding the known rank, is again a
+proof.  Everything else is reported Undetermined: the tool never claims
+equivalence.  `slocc_distinguish` computes each state's signature and
+known rank once per call, at the caller's `tol`, and the geometric
+measure only when a bound is needed and no result was passed.
 
 The signature route is not sound for close pairs beyond twice the
 tolerance: an invertible local operation can bring two distinct points
@@ -28,12 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .entanglement import (
-    EntanglementResult,
-    OptimizerConfig,
-    _coherent_direction,
-    geometric_measure,
-)
+from .entanglement import EntanglementResult, OptimizerConfig, geometric_measure
 from .symstate import (
     COINCIDENCE_TOL,
     MajoranaConfig,
@@ -112,15 +108,12 @@ def _is_great_circle_ring(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) 
     return bool(np.max(np.abs(gaps - 2.0 * math.pi / n)) <= max(10.0 * tol, 1e-8))
 
 
-def known_rank(state: SymmetricState, config: MajoranaConfig,
-               tol: float = COINCIDENCE_TOL) -> int | None:
-    """Product-state rank when recognizable: 1 for product states, 2 for
-    the GHZ ring family; otherwise None.  `config` is the state's
-    configuration; raises ValueError unless `tol` is finite and positive."""
+def known_rank(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> int | None:
+    """Product-state rank when recognizable: 1 for product states, whose n
+    points `to_majorana` makes exactly equal, 2 for the GHZ ring family;
+    otherwise None.  Raises ValueError unless `tol` is finite and positive."""
     _check_tolerance(tol)
-    # the coherent test works in amplitude space; clustering the computed
-    # points would miss it because multiple roots smear under root finding
-    if _coherent_direction(state.amps) is not None:
+    if np.all(config.points == config.points[0]):
         return 1
     if _is_great_circle_ring(config, tol):
         return 2
@@ -131,13 +124,6 @@ def _rank_bound(ent: EntanglementResult) -> int:
     """Lower bound ceil(2^E_G) on the product-state rank of the state `ent`
     was computed for."""
     return max(1, math.ceil(2.0 ** ent.eg - _BOUND_MARGIN))
-
-
-def _configuration(state: SymmetricState, ent: EntanglementResult | None) -> MajoranaConfig:
-    """The configuration `ent` already holds for `state`, else a fresh one."""
-    if ent is not None and ent.config is not None:
-        return ent.config
-    return to_majorana(state)
 
 
 def slocc_distinguish(a: SymmetricState, b: SymmetricState,
@@ -154,7 +140,8 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
-    config_a, config_b = _configuration(a, ent_a), _configuration(b, ent_b)
+    config_a = to_majorana(a) if ent_a is None else ent_a.config
+    config_b = to_majorana(b) if ent_b is None else ent_b.config
     signatures = sig_a, sig_b = (degeneracy_signature(config_a, tol),
                                  degeneracy_signature(config_b, tol))
     undetermined = None
@@ -165,7 +152,7 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
         undetermined = (f"coincidence signatures {sig_a} vs {sig_b} differ, but two "
                         f"points lie between {tol:g} and {2.0 * tol:g} rad apart, so "
                         "they prove nothing")
-    known = known_rank(a, config_a, tol), known_rank(b, config_b, tol)
+    known = known_rank(config_a, tol), known_rank(config_b, tol)
     if None not in known and known[0] != known[1]:
         return Verdict(INEQUIVALENT, f"known product ranks differ: {known[0]} vs {known[1]}",
                        signatures)
@@ -205,11 +192,8 @@ def four_qubit_table(cfg: OptimizerConfig | None = None):
     states = [("T", gen_tetrahedral()), ("GHZ4", gen_ghz(4)),
               ("S(4,2)", gen_dicke(4, 2)), ("W4", gen_dicke(4, 1))]
     measured = [(name, state, geometric_measure(state, cfg)) for name, state in states]
-    rows = []
-    for name, state, ent in measured:
-        config = _configuration(state, ent)
-        rows.append(TableRow(name, detect_group(config).label, degeneracy_signature(config),
-                             ent.eg))
+    rows = [TableRow(name, detect_group(ent.config).label, degeneracy_signature(ent.config),
+                     ent.eg) for name, _, ent in measured]
     verdicts = [PairVerdict(name_a, name_b,
                             slocc_distinguish(a, b, cfg, ent_a=ent_a, ent_b=ent_b))
                 for (name_a, a, ent_a), (name_b, b, ent_b) in combinations(measured, 2)]

@@ -350,9 +350,12 @@ def _polyhedral_orbits(kind: str, bins):
         return [(first, 2, "tetrahedron vertex"),
                 (second, 2, "mirror-tetrahedron vertex"),
                 (dirs(2), 3, "octahedron vertex")], None
+    # no point may sit on a two-fold axis of O or Y (cap 0)
     if kind == OCTAHEDRAL:
-        return [(dirs(3), 3, "cube vertex"), (dirs(4), 2, "octahedron vertex")], 34
-    return [(dirs(3), 2, "dodecahedron vertex"), (dirs(5), 3, "icosahedron vertex")], 88
+        return [(dirs(3), 3, "cube vertex"), (dirs(4), 2, "octahedron vertex"),
+                (dirs(2), 0, "two-fold axis")], 34
+    return [(dirs(3), 2, "dodecahedron vertex"), (dirs(5), 3, "icosahedron vertex"),
+            (dirs(2), 0, "two-fold axis")], 88
 
 
 def _ti_polyhedral(n: int, kind: str, bins, sites: np.ndarray, mult: np.ndarray,
@@ -364,6 +367,8 @@ def _ti_polyhedral(n: int, kind: str, bins, sites: np.ndarray, mult: np.ndarray,
     for i, site in enumerate(sites):
         for directions, cap, name in orbits:
             if len(directions) and float(np.max(directions @ site)) >= math.cos(tol):
+                if cap == 0:
+                    return False, f"a point lies on a {name}, which the pattern leaves empty"
                 if mult[i] > cap:
                     return False, (f"{mult[i]} points on a {name} "
                                    f"exceeds the cap of {cap}")

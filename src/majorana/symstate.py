@@ -8,8 +8,14 @@ sphere: the amplitudes define the polynomial with coefficients
 sqrt(C(n,k)) * a_k, whose roots are stereographic images of "zero
 directions"; each configuration point is the antipode of a zero direction,
 and every degree drop at the top of the coefficient list contributes one
-point at the exact north pole.  The inverse conversion multiplies one
-first-degree factor per point and renormalizes.
+point at the exact north pole.  Root finding would smear an n-fold root,
+so a product state is recognized in amplitude space and converts to its
+exact n-fold point: when the amplitudes lie within 1e-13, in norm, of a
+coherent state times a phase (`_coherent_direction`).  The inverse
+conversion and every coherent state stand on one spinor kernel: `_spinors`
+gives (cos(theta/2), e^(i phi) sin(theta/2)), exactly zero at the poles;
+the product expansion convolves one such factor per point, and
+`_binomial_rows` expands n equal ones into sqrt(C(n,k)) a^(n-k) b^k.
 
 Angles are radians throughout: theta is the polar angle in [0, pi]
 measured from +z, phi the azimuth in [0, 2*pi).
@@ -33,6 +39,10 @@ COINCIDENCE_TOL = 1e-6
 # Below this polar distance a point is snapped onto the exact pole, where
 # the azimuth is meaningless and canonicalized to zero.
 _POLE_SNAP = 1e-12
+
+# Built products at n <= 64 lie within 2e-14 of their coherent state, while a
+# 1e-12 perturbation already splits the points by 0.03 rad or more (n = 6..20).
+_PRODUCT_RESIDUAL = 1e-13
 
 
 @lru_cache(maxsize=128)
@@ -225,43 +235,89 @@ def state_fidelity(a: SymmetricState, b: SymmetricState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
-def _product_amplitudes(points: np.ndarray) -> np.ndarray:
-    """Normalized Dicke amplitudes of the symmetrized product over `points`.
+def _spinors(theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """Spinors (cos(theta/2), e^(i phi) sin(theta/2)) of a batch of
+    directions, exactly zero at both poles."""
+    half = 0.5 * theta
+    return np.where(theta >= math.pi, 0.0, np.cos(half)), np.sin(half) * np.exp(1j * phi)
 
-    Multiplies the first-degree factor cos(t/2) + sin(t/2) e^{i phi} alpha
-    for each point; points at the exact north pole contribute [1, 0], which
-    is what makes the top coefficients vanish for them.
-    """
+
+def _binomial_rows(a, b, n: int) -> np.ndarray:
+    """Rows sqrt(C(n,k)) a^(n-k) b^k for k = 0..n, one per spinor (a, b) of a
+    batch; shape (S, n+1).  Both power sequences are cumulative products,
+    so S spinors cost O(S n) multiplications and no pow calls."""
+    a, b = np.ravel(a), np.ravel(b)
+    rows = np.empty((b.size, n + 1), dtype=b.dtype)
+    c = np.empty((a.size, n + 1), dtype=a.dtype)
+    rows[:, 0] = c[:, 0] = 1.0
+    rows[:, 1:], c[:, 1:] = b[:, None], a[:, None]
+    np.multiply.accumulate(rows, axis=1, out=rows)
+    np.multiply.accumulate(c, axis=1, out=c)
+    rows *= c[:, ::-1]
+    rows *= binomial_weights(n)
+    return rows
+
+
+def _product_amplitudes(points: np.ndarray) -> np.ndarray:
+    """Normalized Dicke amplitudes of the symmetrized product over `points`:
+    the convolution of their spinor factors a + b alpha, where a point at
+    the exact north pole contributes [1, 0] and so drops a top coefficient."""
     poly = np.array([1.0 + 0.0j])
-    for theta, phi in points:
-        half = 0.5 * theta
-        factor = np.array([math.cos(half), math.sin(half) * np.exp(1j * phi)])
+    for factor in np.column_stack(_spinors(points[:, 0], points[:, 1])):
         poly = np.convolve(poly, factor)
     amps = poly / binomial_weights(len(points))
     return amps / np.linalg.norm(amps)
 
 
+def _coherent_direction(amps: np.ndarray) -> tuple[float, float] | None:
+    """(theta, phi) when the normalized amplitudes lie within
+    _PRODUCT_RESIDUAL of a spin coherent state times a phase.
+
+    Root finding smears an n-fold point by about eps^(1/n), so the direction
+    comes from the spin vector instead: a coherent state has <S_z> =
+    (n/2) cos theta and t = sum_k sqrt((k+1)(n-k)) conj(a_k) a_(k+1) =
+    (n/2) sin theta e^(i phi).  Within the bound the spin length falls short
+    of n/2 by at most n * _PRODUCT_RESIDUAL; a state short by more than ten
+    times that is turned away at once.
+    """
+    n = amps.size - 1
+    k = np.arange(n + 1)
+    sz = 0.5 * n - float(np.abs(amps) ** 2 @ k)
+    t = complex(np.vdot(amps[:-1], np.sqrt(k[1:] * k[:0:-1]) * amps[1:]))
+    if 0.5 * n - math.hypot(sz, abs(t)) > 10.0 * n * _PRODUCT_RESIDUAL:
+        return None
+    theta = math.atan2(abs(t), sz)
+    phi = math.atan2(t.imag, t.real) % TWO_PI
+    coherent = _binomial_rows(*_spinors(theta, phi), n)[0]
+    overlap = complex(np.vdot(coherent, amps))
+    residual = amps - (overlap / abs(overlap)) * coherent
+    return (theta, phi) if np.vdot(residual, residual).real <= _PRODUCT_RESIDUAL ** 2 else None
+
+
 def to_majorana(state: SymmetricState) -> MajoranaConfig:
     """Decompose a state into its point configuration.
 
-    Root alpha of the coefficient polynomial lies at stereographic
-    coordinate alpha = e^{-i phi} tan(theta/2) of a zero direction; the
-    configuration point is that direction's antipode.  Roots at infinity
-    (degree drops) become points at the exact north pole; the root at the
-    origin becomes the exact south pole.  The stored global phase is chosen
-    so that `to_dicke` reproduces `state.amps` exactly, not just the ray.
+    A product state (`_coherent_direction`) gives its exact n-fold point,
+    with no root finding.  Otherwise root alpha of the coefficient
+    polynomial lies at stereographic coordinate alpha = e^{-i phi}
+    tan(theta/2) of a zero direction, and the configuration point is that
+    direction's antipode.  Roots at infinity (degree drops) become points
+    at the exact north pole; the root at the origin becomes the exact south
+    pole.  The stored global phase is chosen so that `to_dicke` reproduces
+    `state.amps` exactly, not just the ray.
     """
     n = state.n
-    coeffs = binomial_weights(n) * state.amps
-    finite, n_inf = polynomial_roots(coeffs)
-    pts = np.zeros((n, 2))
-    if len(finite):
+    direction = _coherent_direction(state.amps)
+    if direction is not None:
+        pts = np.tile(direction, (n, 1))
+    else:
+        finite, n_inf = polynomial_roots(binomial_weights(n) * state.amps)
+        pts = np.zeros((n, 2))
         theta_zero = 2.0 * np.arctan(np.abs(finite))
         phi_zero = (-np.angle(finite)) % TWO_PI
         pts[n_inf:, 0] = math.pi - theta_zero
         pts[n_inf:, 1] = (phi_zero + math.pi) % TWO_PI
-    config = MajoranaConfig(n, pts, 0.0)
-    recon = _product_amplitudes(config.points)
+    recon = _product_amplitudes(_canonical_points(pts))
     phase = float(np.angle(np.vdot(recon, state.amps))) % TWO_PI
     return MajoranaConfig(n, pts, phase)
 
@@ -290,26 +346,10 @@ def rotate_state(state: SymmetricState, r: Rotation) -> SymmetricState:
 
 
 def coherent_matrix(n: int, units) -> np.ndarray:
-    """Dicke amplitudes of the n-fold product state along each unit vector.
-
-    Row s is sqrt(C(n,k)) c^(n-k) z^k for k = 0..n, with c = cos(theta/2)
-    and z = sin(theta/2) e^(i phi) of `units[s]`; shape (S, n+1).  Both
-    power sequences are cumulative products, so a batch of S directions
-    costs O(S n) multiplications and no pow calls.
-    """
+    """Dicke amplitudes of the n-fold product state along each unit vector:
+    the `_binomial_rows` of their spinors, shape (S, n+1)."""
     theta, phi = unit_to_angles(np.reshape(units, (-1, 3)))
-    half = 0.5 * theta
-    z = np.empty((theta.size, n + 1), dtype=complex)
-    z[:, 0] = 1.0
-    z[:, 1:] = (np.sin(half) * np.exp(1j * phi))[:, None]
-    c = np.empty((theta.size, n + 1))
-    c[:, 0] = 1.0
-    c[:, 1:] = np.cos(half)[:, None]
-    np.cumprod(z, axis=1, out=z)
-    np.cumprod(c, axis=1, out=c)
-    z *= c[:, ::-1]
-    z *= binomial_weights(n)
-    return z
+    return _binomial_rows(*_spinors(theta, phi), n)
 
 
 def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:

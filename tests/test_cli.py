@@ -97,6 +97,24 @@ def test_slocc_command(capsys, tmp_path):
     assert payload["signature_first"] == [1, 1, 1, 1]
 
 
+def test_product_state_commands(capsys, tmp_path):
+    # a product state is one exact five-fold point: SO(3), and never a proof
+    # of inequivalence against another product state
+    tilted, north = tmp_path / "tilted.json", tmp_path / "north.json"
+    tilted.write_text(majorana.to_json_text(
+        majorana.SymmetricState(5, majorana.coherent_amplitudes(5, 0.8, 0.3))))
+    run(capsys, "gen", "dicke", "--n", "5", "--k", "0", "-o", str(north))
+    code, out, _ = run(capsys, "symmetry", "-i", str(tilted))
+    assert code == 0 and json.loads(out)["group"] == "SO(3)"
+    code, out, _ = run(capsys, "convert", "--to", "majorana", "-i", str(tilted))
+    points = json.loads(out)["majorana"]
+    assert code == 0 and len(points) == 5 and all(p == points[0] for p in points)
+    code, out, _ = run(capsys, "slocc", str(north), str(tilted))
+    payload = json.loads(out)
+    assert code == 0 and payload["result"] != "Inequivalent"
+    assert payload["signature_first"] == payload["signature_second"] == [5]
+
+
 def test_slocc_command_reuses_the_verdicts_signatures(capsys, tmp_path, monkeypatch):
     # the printed signatures are the ones slocc_distinguish computed; two
     # states cost two root findings there and one for the rank bound

@@ -87,6 +87,25 @@ def test_product_state_short_circuit():
     assert abs(result.phi - 2.3) < 1e-9
 
 
+@pytest.mark.parametrize("delta", [1e-5, 1e-8, 1e-11, 1e-12, 5e-13])
+def test_near_product_states_are_measured(delta):
+    # further than 1e-13 in amplitude norm from every coherent state, so
+    # not snapped to one point: the ascent runs on the smeared roots and
+    # must still find the near-1 maximum
+    rng = np.random.default_rng(14)
+    for n in (2, 6, 20, 64):
+        base = coherent_amplitudes(n, 0.8, 0.3)
+        kick = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        kick -= np.vdot(base, kick) * base
+        state = SymmetricState(n, base + delta * kick / np.linalg.norm(kick))
+        points = to_majorana(state).points
+        assert not np.all(points == points[0]), (n, delta)
+        result = geometric_measure(state)
+        assert result.converged, (n, delta)
+        best = max(grid_oracle(state, 200).lam, abs(np.vdot(base, state.amps)) ** 2)
+        assert result.lam >= best - 1e-10, (n, delta)
+
+
 def test_grid_oracle_agrees_with_optimizer():
     rng = np.random.default_rng(31)
     for n in (3, 4, 6):
@@ -285,4 +304,8 @@ def test_result_carries_its_configuration():
     config = to_majorana(state)
     assert geometric_measure(state).config == config
     assert grid_oracle(state, 40).config == config
-    assert geometric_measure(SymmetricState(3, coherent_amplitudes(3, 0.4, 0.2))).config is None
+    # a product state carries its exact three-fold point
+    product = geometric_measure(SymmetricState(3, coherent_amplitudes(3, 0.4, 0.2)))
+    points = product.config.points
+    assert np.array_equal(points, np.tile(points[0], (3, 1)))
+    np.testing.assert_allclose(points[0], [0.4, 0.2], rtol=0, atol=1e-14)

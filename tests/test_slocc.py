@@ -75,7 +75,7 @@ def test_signature_rotation_invariance_is_exact():
 
 
 def _rank(state):
-    return known_rank(state, to_majorana(state))
+    return known_rank(to_majorana(state))
 
 
 def _bound(state, ent=None):
@@ -100,7 +100,7 @@ def test_known_rank():
 def test_known_rank_tolerance_must_be_finite_and_positive(tol):
     state = gen_ghz(4)
     with pytest.raises(ValueError, match="tolerance"):
-        known_rank(state, to_majorana(state), tol)
+        known_rank(to_majorana(state), tol)
 
 
 def test_schmidt_bound_values():
@@ -207,15 +207,41 @@ def _nudged_ghz5():
 
 
 def test_known_ranks_read_at_the_callers_tolerance():
-    # at tol 1e-3 the nudged ring still counts as GHZ, so its rank is known
-    # on both sides; the verdict must not depend on argument order
+    # at tol 1e-3 the nudged ring still counts as GHZ, so its rank is known;
+    # the product state's exact five-fold point already proves inequivalence,
+    # and the verdict must not depend on argument order
     from majorana import SymmetricState, coherent_amplitudes
     product = SymmetricState(5, coherent_amplitudes(5, 0.8, 0.3))
     ring = _nudged_ghz5()
-    assert known_rank(ring, to_majorana(ring), 1e-3) == 2
-    assert known_rank(ring, to_majorana(ring)) is None
+    assert known_rank(to_majorana(ring), 1e-3) == 2
+    assert known_rank(to_majorana(ring)) is None
     forward = slocc_distinguish(product, ring, tol=1e-3)
     backward = slocc_distinguish(ring, product, tol=1e-3)
+    assert forward.result == backward.result == INEQUIVALENT
+    assert forward.reason == "coincidence signatures differ: (5) vs (1,1,1,1,1)"
+    assert backward.reason == "coincidence signatures differ: (1,1,1,1,1) vs (5)"
+
+
+def test_product_states_are_never_proved_inequivalent():
+    # any two product states are related by a local unitary
+    from majorana import SymmetricState, coherent_amplitudes
+    for n in list(range(2, 13)) + [64]:
+        north, tilted = gen_dicke(n, 0), SymmetricState(n, coherent_amplitudes(n, 0.8, 0.3))
+        for a, b in ((north, tilted), (tilted, north)):
+            verdict = slocc_distinguish(a, b)
+            assert verdict.result != INEQUIVALENT, (n, verdict.reason)
+            assert [s.multiplicities for s in verdict.signatures] == [(n,), (n,)]
+
+
+def test_known_ranks_differ_where_a_signature_is_ambiguous():
+    # at tol 0.06 the GHZ64 ring's neighbours, 2 pi / 64 apart, lie between
+    # tol and 2 tol, so only the known ranks prove inequivalence
+    from majorana import SymmetricState, coherent_amplitudes
+    product = SymmetricState(64, coherent_amplitudes(64, 0.8, 0.3))
+    ring = gen_ghz(64)
+    forward = slocc_distinguish(product, ring, tol=0.06)
+    backward = slocc_distinguish(ring, product, tol=0.06)
+    assert forward.signatures[1].ambiguous and backward.signatures[0].ambiguous
     assert forward.result == backward.result == INEQUIVALENT
     assert forward.reason == "known product ranks differ: 1 vs 2"
     assert backward.reason == "known product ranks differ: 2 vs 1"
@@ -225,9 +251,9 @@ def test_one_known_rank_per_state(monkeypatch):
     from majorana import SymmetricState, coherent_amplitudes, slocc
     calls = []
 
-    def counting(state, *args):
-        calls.append(state)
-        return known_rank(state, *args)
+    def counting(config, *args):
+        calls.append(config)
+        return known_rank(config, *args)
 
     monkeypatch.setattr(slocc, "known_rank", counting)
     product = SymmetricState(5, coherent_amplitudes(5, 0.8, 0.3))
@@ -236,5 +262,6 @@ def test_one_known_rank_per_state(monkeypatch):
                       (_nudged_ghz5(), product, 1e-3), (gen_dicke(4, 1), gen_dicke(4, 3), 1e-6)):
         calls.clear()
         slocc_distinguish(a, b, tol=tol)
-        assert len(calls) <= 2
-        assert sum(c is a for c in calls) <= 1 and sum(c is b for c in calls) <= 1
+        # at most one call per state, each on that state's configuration
+        configs = to_majorana(a), to_majorana(b)
+        assert len(calls) <= 2 and all(c == configs[i] for i, c in enumerate(calls))

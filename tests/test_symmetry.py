@@ -1,4 +1,5 @@
 """Point-group detection, total invariance, dihedral membership."""
+import itertools
 import math
 
 import numpy as np
@@ -20,10 +21,12 @@ from majorana.catalog import (
     gen_ghz,
     gen_platonic,
     gen_tetrahedral,
+    platonic_vertices,
 )
 from majorana.symstate import Rotation, unit_to_angles
 
-from helpers import perturb_config, random_rotation, rotate_points
+from helpers import (PRODUCT_THETAS, perturb_config, product_states, random_rotation,
+                     rotate_points)
 
 
 def _config(state):
@@ -470,3 +473,34 @@ def test_cyclic_fallback_lists_its_group():
     products = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 1, 3, 3)
     gaps = np.abs(products - mats[None]).max(axis=(2, 3)).min(axis=1)
     assert gaps.max() <= max(symmetry._MAT_TOL, 4.0 * tol)
+
+
+def test_product_states_are_so3():
+    rng = np.random.default_rng(15)
+    for n in range(1, 65):
+        for theta in PRODUCT_THETAS:
+            for state in product_states(n, theta, rng.uniform(0.0, 2.0 * np.pi), rng):
+                assert detect_group(to_majorana(state)).label == "SO(3)", (n, theta)
+
+
+def _config_of(vecs):
+    theta, phi = unit_to_angles(vecs)
+    return MajoranaConfig(len(vecs), np.column_stack([theta, phi]))
+
+
+def test_two_fold_axis_witness():
+    # the cuboctahedron and the icosidodecahedron lie on the two-fold axes of
+    # O and Y, which the pattern leaves empty: the verdict stays False, and
+    # the witness names the axis
+    cuboctahedron = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+                              if np.count_nonzero(v) == 2]) / math.sqrt(2.0)
+    ico = platonic_vertices("icosahedron")
+    i, j = np.nonzero(np.triu(ico @ ico.T > 0.4, k=1))  # the 30 edges
+    icosidodecahedron = ico[i] + ico[j]
+    icosidodecahedron /= np.linalg.norm(icosidodecahedron, axis=1)[:, None]
+    assert len(icosidodecahedron) == 30
+    for vecs, label in ((cuboctahedron, "O"), (icosidodecahedron, "Y")):
+        report = detect_group(_config_of(vecs))
+        assert report.label == label
+        assert not report.totally_invariant
+        assert report.witness == "a point lies on a two-fold axis, which the pattern leaves empty"

@@ -25,7 +25,7 @@ from majorana import (
 )
 from majorana.symstate import binomial_weights, cluster_directions, pairwise_angles, parse_json_dict
 
-from helpers import perturb_config, random_rotation
+from helpers import PRODUCT_THETAS, perturb_config, product_states, random_rotation
 
 
 def test_binomial_weights_match_comb():
@@ -261,6 +261,26 @@ def test_coherent_matrix_matches_power_formula():
         rows = coherent_matrix(n, angles_to_unit(theta, phi))
         np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(coherent_amplitudes(n, theta[7], phi[7]), rows[7])
+
+
+def test_coherent_rows_are_exact_at_the_poles():
+    from majorana.symstate import coherent_matrix
+    for n in (1, 5, 64):
+        rows = coherent_matrix(n, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        np.testing.assert_array_equal(rows, np.eye(n + 1)[[0, n]])
+
+
+def test_product_states_convert_to_one_exact_point():
+    # however a product state is built, it converts to its exact n-fold
+    # point rather than to n roots smeared by about eps^(1/n)
+    rng = np.random.default_rng(12)
+    for n in range(1, 65):
+        for theta in PRODUCT_THETAS:
+            for state in product_states(n, theta, rng.uniform(0.0, 2.0 * np.pi), rng):
+                config = to_majorana(state)
+                assert np.array_equal(config.points, np.tile(config.points[0], (n, 1))), \
+                    (n, theta)
+                assert state_fidelity(state, to_dicke(config)) >= 1.0 - 1e-14, (n, theta)
 
 
 def test_pole_coherent_overlap_reads_off_amplitude():
