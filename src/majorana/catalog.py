@@ -27,9 +27,12 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 SOLIDS = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
 
-# Largest per-vertex occupancy for which the vertex configuration stays
-# rigid under its symmetry group (no occupancy split can preserve it); it
-# also keeps every solid within 40 points.
+# Largest per-vertex occupancy `gen_platonic` builds; it keeps every solid
+# within 40 points.  A vertex stack of m points is rigid under the solid's
+# group while m is below the vertex's stabiliser order (3 for the
+# tetrahedron, cube and dodecahedron, 4 for the octahedron, 5 for the
+# icosahedron), so every cap is rigid but the cube's: three points on a
+# three-fold axis can open into a generic 24-point O orbit.
 MAX_MULTIPLICITY = {"tetrahedron": 2, "octahedron": 3, "cube": 3,
                     "icosahedron": 3, "dodecahedron": 2}
 

@@ -107,12 +107,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    parsed = parse_json_text(_read_text(args.input))
-    if args.to == "majorana":
-        result = parsed if isinstance(parsed, MajoranaConfig) else to_majorana(parsed)
-    else:
-        result = parsed if isinstance(parsed, SymmetricState) else to_dicke(parsed)
-    _write_json(args.output, to_json_dict(result))
+    load = _load_config if args.to == "majorana" else _load_state
+    _write_json(args.output, to_json_dict(load(args.input)))
     return 0
 
 

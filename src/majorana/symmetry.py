@@ -14,17 +14,20 @@ axes that no site or pair of sites spans (the three-fold axes of a
 generic tetrahedral orbit, say) are found like any other.
 
 The report also carries the total-invariance verdict (`totally_invariant`,
-with a `witness` string), which pattern-matches the configuration against
-a per-group catalog of points-on-axes layouts.  Cyclic groups never qualify
-(rings can slide along the axis); axial groups qualify exactly when all
-points sit at the two poles; a dihedral group D_m requires equal polar
-stacks on its principal axis (any of the three two-fold axes for D2) and
-exactly m further points, singly occupied, on the equator; the polyhedral
-groups require every point on one of their rotation-axis orbits within
-fixed occupancy caps (and, for O and Y, a bound on the point count).
+with a `witness` string), read off each site's stabiliser order: how many
+of the listed rotations fix the site.  Cyclic groups never qualify (rings
+can slide along the axis); axial groups qualify exactly when all points
+sit at the two poles.  D_m (m >= 3) qualifies when its order-2 sites are
+exactly m singly occupied points and every other site is a polar stack of
+order m; D2, whose three two-fold axes are alike, when all four sites have
+order 2 and one antipodal pair is singly occupied.  In the polyhedral
+groups each site's order names its rotation-axis orbit, which has a fixed
+occupancy cap (0 for the two-fold axes of O and Y), and O and Y also bound
+the point count.
 
-These layouts are not all rigid.  The dihedral rule puts no cap on the
-polar stacks, and a stack of p >= m points can split into a generic
+These layouts are not all rigid.  A stack of m points whose stabiliser has
+order k is pinned exactly when m < k.  The dihedral rule puts no cap on
+the polar stacks, and a stack of p >= m points can split into a generic
 2m-point D_m orbit, m points near each pole, without losing D_m.  Nor is
 the verdict the hypothesis of the twirl certificate, which needs psi's
 isotypic multiplicity under the group to be 1: `certify_equivalence`
@@ -262,7 +265,7 @@ def _pick_generators(kind: str, order: int, principal: np.ndarray,
 def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> SymmetryReport:
     """Largest rotation group permuting the configuration's point multiset."""
     sites, mult = site_decomposition(config.unit_vectors(), tol)
-    bins = []
+    mats = None
     if len(sites) == 1:
         report = SymmetryReport(SO3, 0, sites[0], (), (), False, "")
     elif len(sites) == 2 and float(sites[0] @ sites[1]) <= -math.cos(tol):
@@ -278,8 +281,8 @@ def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> Symmet
         # At loose site tolerances the listed matrices carry comparable
         # error, so the census threshold has to widen with them.
         mat_tol = max(_MAT_TOL, 4.0 * tol)
-        kind, order, principal, bins, elements = _classify(_list_group(sites, mult, tol),
-                                                           mat_tol)
+        mats = _list_group(sites, mult, tol)
+        kind, order, principal, bins, elements = _classify(mats, mat_tol)
         if kind == CYCLIC:
             # Sites closer than 2 tol let near-rotations pass as symmetries,
             # but a cyclic group never has more elements than there are sites.
@@ -291,7 +294,7 @@ def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> Symmet
         generators = _pick_generators(kind, order, principal, bins, tuple(elements))
         report = SymmetryReport(kind, order, principal, generators,
                                 tuple(elements), False, "")
-    invariant, witness = _invariance(config.n, report, sites, mult, bins, tol)
+    invariant, witness = _invariance(config.n, report, sites, mult, mats, tol)
     return replace(report, totally_invariant=invariant, witness=witness)
 
 
@@ -305,86 +308,72 @@ def _ti_axial(n: int, axis: np.ndarray, sites: np.ndarray, mult: np.ndarray, tol
                   f"({north} north, {south} south)")
 
 
-def _ti_dihedral(report: SymmetryReport, bins, sites: np.ndarray, mult: np.ndarray,
-                 tol: float):
-    m = report.order
-    candidates = [report.axis]
+def _stabiliser_orders(sites: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
+    """Each site's stabiliser order: how many listed rotations move it by at
+    most tol, the chord test of `_list_group`."""
+    images = sites @ mats.transpose(0, 2, 1)
+    return np.count_nonzero(np.linalg.norm(images - sites, axis=2) <= tol, axis=0)
+
+
+def _ti_dihedral(m: int, orders: np.ndarray, mult: np.ndarray):
     if m == 2:
-        # All three two-fold axes of D2 are interchangeable; any of them may
-        # carry the polar pattern.
-        candidates = [b["axis"] for b in bins] or candidates
-    for axis in candidates:
-        lat = sites @ axis
-        polar = np.abs(lat) >= math.cos(tol)
-        ring = np.abs(lat) <= 2.0 * tol
-        if np.any(~polar & ~ring):
-            continue
-        north = int(mult[polar & (lat > 0)].sum())
-        south = int(mult[polar & (lat < 0)].sum())
-        if north != south:
-            continue
-        if int(ring.sum()) != m or np.any(mult[ring] != 1):
-            continue
+        # All three two-fold axes of D2 are alike: the singly occupied pair
+        # is the ring, and the other pair the polar stacks.
+        matches = len(mult) == 4 and np.all(orders == 2) and mult.min() == 1
+        north = int(mult.max())
+    else:
+        ring = orders == 2
+        matches = (np.count_nonzero(ring) == m and np.all(mult[ring] == 1)
+                   and np.all(orders[~ring] == m))
+        north = int(mult[~ring].max(initial=0))
+    if matches:
         return True, (f"{north} points at each pole plus {m} singly occupied, "
                       f"evenly spaced equatorial points")
     return False, ("configuration does not match the dihedral pattern of "
                    "equal polar stacks plus one singly occupied equatorial ring")
 
 
-def _polyhedral_orbits(kind: str, bins):
-    """Catalog orbit directions (from the group's own axes) and caps."""
-    by_order: dict[int, list[np.ndarray]] = {}
-    for entry in bins:
-        by_order.setdefault(entry["order"], []).append(entry["axis"])
-
-    def dirs(order):
-        axes = by_order.get(order, [])
-        return np.array([sign * a for a in axes for sign in (1.0, -1.0)])
-
-    if kind == TETRAHEDRAL:
-        three = dirs(3)
-        d0 = three[0]
-        close = three @ d0
-        first = three[(close > 0.9) | (np.abs(close + 1.0 / 3.0) < 0.1)]
-        second = three[~((close > 0.9) | (np.abs(close + 1.0 / 3.0) < 0.1))]
-        return [(first, 2, "tetrahedron vertex"),
-                (second, 2, "mirror-tetrahedron vertex"),
-                (dirs(2), 3, "octahedron vertex")], None
-    # no point may sit on a two-fold axis of O or Y (cap 0)
-    if kind == OCTAHEDRAL:
-        return [(dirs(3), 3, "cube vertex"), (dirs(4), 2, "octahedron vertex"),
-                (dirs(2), 0, "two-fold axis")], 34
-    return [(dirs(3), 2, "dodecahedron vertex"), (dirs(5), 3, "icosahedron vertex"),
-            (dirs(2), 0, "two-fold axis")], 88
+# The catalog orbits of each polyhedral group by stabiliser order: (cap,
+# name), where cap is the occupancy a site may hold (0: left empty), and
+# the bound on the point count.
+_POLYHEDRAL = {
+    TETRAHEDRAL: ({3: (2, "tetrahedron vertex"), 2: (3, "octahedron vertex")}, None),
+    OCTAHEDRAL: ({3: (3, "cube vertex"), 4: (2, "octahedron vertex"),
+                  2: (0, "two-fold axis")}, 34),
+    ICOSAHEDRAL: ({3: (2, "dodecahedron vertex"), 5: (3, "icosahedron vertex"),
+                   2: (0, "two-fold axis")}, 88),
+}
 
 
-def _ti_polyhedral(n: int, kind: str, bins, sites: np.ndarray, mult: np.ndarray,
-                   tol: float):
-    orbits, bound = _polyhedral_orbits(kind, bins)
+def _ti_polyhedral(n: int, kind: str, principal: np.ndarray, sites: np.ndarray,
+                   mats: np.ndarray, orders: np.ndarray, mult: np.ndarray, tol: float):
+    table, bound = _POLYHEDRAL[kind]
     if bound is not None and n > bound:
         return False, f"{n} points exceeds the stated bound of {bound}"
     usage = []
-    for i, site in enumerate(sites):
-        for directions, cap, name in orbits:
-            if len(directions) and float(np.max(directions @ site)) >= math.cos(tol):
-                if cap == 0:
-                    return False, f"a point lies on a {name}, which the pattern leaves empty"
-                if mult[i] > cap:
-                    return False, (f"{mult[i]} points on a {name} "
-                                   f"exceeds the cap of {cap}")
-                usage.append(name)
-                break
-        else:
+    for i, order in enumerate(orders):
+        if order not in table:
             return False, "a point lies off the rotation-axis orbits"
+        cap, name = table[order]
+        if cap == 0:
+            return False, f"a point lies on a {name}, which the pattern leaves empty"
+        if kind == TETRAHEDRAL and order == 3 and not np.any(
+                np.linalg.norm(mats @ sites[i] - principal, axis=1) <= tol):
+            # T's three-fold axes end in two tetrahedra; the one holding the
+            # principal axis is the tetrahedron, the other its mirror image.
+            name = "mirror-" + name
+        if mult[i] > cap:
+            return False, f"{mult[i]} points on a {name} exceeds the cap of {cap}"
+        usage.append(name)
     names = sorted(set(usage))
     return True, "points occupy " + " and ".join(f"{name} positions ({usage.count(name)} sites)"
                                                 for name in names)
 
 
 def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndarray,
-                bins, tol: float) -> tuple[bool, str]:
-    """Total-invariance verdict and witness from the sites and axis bins
-    that detection already computed."""
+                mats: np.ndarray | None, tol: float) -> tuple[bool, str]:
+    """Total-invariance verdict and witness from the sites and, for the
+    finite groups, the rotation stack that detection already computed."""
     kind = report.kind
     if kind == SO3:
         return False, ("all points coincident (a product state); the cluster "
@@ -396,9 +385,10 @@ def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndar
                        "rings can slide along the axis without breaking it")
     if kind in (SO2, O2):
         return _ti_axial(n, report.axis, sites, mult, tol)
+    orders = _stabiliser_orders(sites, mats, tol)
     if kind == DIHEDRAL:
-        return _ti_dihedral(report, bins, sites, mult, tol)
-    return _ti_polyhedral(n, kind, bins, sites, mult, tol)
+        return _ti_dihedral(report.order, orders, mult)
+    return _ti_polyhedral(n, kind, report.axis, sites, mats, orders, mult, tol)
 
 
 def contains_dihedral(config: MajoranaConfig, m: int, tol: float = COINCIDENCE_TOL) -> bool:

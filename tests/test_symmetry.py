@@ -23,7 +23,7 @@ from majorana.catalog import (
     gen_tetrahedral,
     platonic_vertices,
 )
-from majorana.symstate import Rotation, unit_to_angles
+from majorana.symstate import COINCIDENCE_TOL, Rotation, site_decomposition, unit_to_angles
 
 from helpers import (PRODUCT_THETAS, perturb_config, product_states, random_rotation,
                      rotate_points)
@@ -488,19 +488,91 @@ def _config_of(vecs):
     return MajoranaConfig(len(vecs), np.column_stack([theta, phi]))
 
 
+def _cuboctahedron():
+    return np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+                     if np.count_nonzero(v) == 2]) / math.sqrt(2.0)
+
+
+def _icosidodecahedron():
+    ico = platonic_vertices("icosahedron")
+    i, j = np.nonzero(np.triu(ico @ ico.T > 0.4, k=1))  # the 30 edges
+    mid = ico[i] + ico[j]
+    return mid / np.linalg.norm(mid, axis=1)[:, None]
+
+
 def test_two_fold_axis_witness():
     # the cuboctahedron and the icosidodecahedron lie on the two-fold axes of
     # O and Y, which the pattern leaves empty: the verdict stays False, and
     # the witness names the axis
-    cuboctahedron = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                              if np.count_nonzero(v) == 2]) / math.sqrt(2.0)
-    ico = platonic_vertices("icosahedron")
-    i, j = np.nonzero(np.triu(ico @ ico.T > 0.4, k=1))  # the 30 edges
-    icosidodecahedron = ico[i] + ico[j]
-    icosidodecahedron /= np.linalg.norm(icosidodecahedron, axis=1)[:, None]
-    assert len(icosidodecahedron) == 30
-    for vecs, label in ((cuboctahedron, "O"), (icosidodecahedron, "Y")):
+    assert len(_icosidodecahedron()) == 30
+    for vecs, label in ((_cuboctahedron(), "O"), (_icosidodecahedron(), "Y")):
         report = detect_group(_config_of(vecs))
         assert report.label == label
         assert not report.totally_invariant
         assert report.witness == "a point lies on a two-fold axis, which the pattern leaves empty"
+
+
+def _dihedral_vecs(m, p):
+    """m singly occupied equatorial points plus p points at each pole."""
+    ring = [(math.cos(2 * math.pi * k / m), math.sin(2 * math.pi * k / m), 0.0)
+            for k in range(m)]
+    return np.array(ring + [(0.0, 0.0, 1.0)] * p + [(0.0, 0.0, -1.0)] * p)
+
+
+def _verdict_cases():
+    """(vectors, label, totally_invariant) for the states whose pattern
+    verdict disagrees with rigidity: True although a stack of m points sits
+    on a site of stabiliser order k <= m, or False although every site is
+    pinned."""
+    cube, octa = platonic_vertices("cube"), platonic_vertices("octahedron")
+    ico = platonic_vertices("icosahedron")
+    tetrahedron = cube[np.prod(cube, axis=1) > 0]  # in the octahedron's frame
+    cubocta, icosid = _cuboctahedron(), _icosidodecahedron()
+    dihedral = [(_dihedral_vecs(n - 2 * p, p), f"D{n - 2 * p}", True)
+                for n, p in ((6, 2), (8, 3), (9, 3), (10, 4), (11, 4), (12, 4), (12, 5),
+                             (13, 5), (14, 5), (14, 6))]
+    return dihedral + [
+        (np.repeat(cube, 3, axis=0), "O", True),
+        (np.vstack([tetrahedron, np.repeat(octa, 2, axis=0)]), "T", True),
+        (np.repeat(octa, 3, axis=0), "O", False),
+        (np.repeat(ico, 4, axis=0), "Y", False),
+        (cubocta, "O", False),
+        (np.vstack([octa, cubocta]), "O", False),
+        (np.vstack([cube, cubocta]), "O", False),
+        (np.vstack([octa, cube, cubocta]), "O", False),
+        (icosid, "Y", False),
+        (np.vstack([ico, icosid]), "Y", False),
+    ]
+
+
+def test_pattern_verdicts_that_rigidity_contradicts():
+    # the pattern verdict is kept as it is (the catalog is built on it), in
+    # any orientation and across the detection tolerances
+    rng = np.random.default_rng(14)
+    turns = [np.eye(3)] + [random_rotation(rng).matrix() for _ in range(4)]
+    for vecs, label, invariant in _verdict_cases():
+        for turn in turns:
+            config = _config_of(vecs @ turn.T)
+            for tol in (1e-6, 1e-4, 1e-3):
+                report = detect_group(config, tol)
+                assert (report.label, report.totally_invariant) == (label, invariant), \
+                    (label, len(vecs), tol)
+
+
+def test_stabiliser_orders():
+    # how many listed rotations fix each site: 3 on a three-fold axis, 4 and
+    # 5 on the four- and five-fold axes, 2 on a two-fold axis, 1 elsewhere
+    rng = np.random.default_rng(13)
+    cube = platonic_vertices("cube")
+    point = rng.normal(size=3)
+    generic = np.array([e.apply(point / np.linalg.norm(point))
+                        for e in detect_group(_config_of(cube)).elements])
+    cases = [(platonic_vertices("tetrahedron"), 3), (cube, 3),
+             (platonic_vertices("dodecahedron"), 3), (platonic_vertices("octahedron"), 4),
+             (platonic_vertices("icosahedron"), 5), (_cuboctahedron(), 2), (generic, 1)]
+    for vecs, order in cases:
+        for turn in (np.eye(3), random_rotation(rng).matrix()):
+            sites, mult = site_decomposition(vecs @ turn.T, COINCIDENCE_TOL)
+            mats = symmetry._list_group(sites, mult, COINCIDENCE_TOL)
+            orders = symmetry._stabiliser_orders(sites, mats, COINCIDENCE_TOL)
+            assert len(orders) == len(vecs) and np.all(orders == order), (len(vecs), order)
