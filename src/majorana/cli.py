@@ -215,13 +215,17 @@ def write_csv(rows) -> str:
     return buffer.getvalue()
 
 
-def write_svg(rows, size: int = 400) -> str:
+# Width and height of the SVG view, in pixels.
+_SVG_SIZE = 400
+
+
+def write_svg(rows) -> str:
     """Orthographic view from +y: screen x right, z up; far-hemisphere
     points are drawn translucent, the maximizer as a hollow circle."""
-    center = size / 2.0
-    radius = size / 2.0 - 10.0
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-             f'viewBox="0 0 {size} {size}">',
+    center = _SVG_SIZE / 2.0
+    radius = _SVG_SIZE / 2.0 - 10.0
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+             f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
              f'<circle cx="{center}" cy="{center}" r="{radius}" fill="none" '
              'stroke="#888" stroke-width="1"/>']
     for theta, phi, x, y, z, mult, role in rows:

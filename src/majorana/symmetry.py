@@ -11,7 +11,11 @@ pair of sites with the same multiplicities and the same angle, and each
 rotation so built is kept when it maps every site onto a site of equal
 multiplicity, one to one.  No axis is guessed and no group is closed, so
 axes that no site or pair of sites spans (the three-fold axes of a
-generic tetrahedral orbit, say) are found like any other.
+generic tetrahedral orbit, say) are found like any other.  A census then
+bins the listed rotations by axis line, each joining the bin of the first
+rotation whose axis lies within the census threshold of its own, and the
+group order and bin orders name the kind.  `contains_dihedral` reads its
+answer off that report, so it cannot contradict the detected label.
 
 The report also carries the total-invariance verdict (`totally_invariant`,
 with a `witness` string), read off each site's stabiliser order: how many
@@ -70,10 +74,8 @@ _MAT_TOL = 1e-3
 _HALF_TURN_TOL = 1e-9
 # Entries within this of an axis's largest magnitude tie for its sign.
 _SIGN_TIE = 1e-9
-# Rows compared at once in `_first_on_each_line`, and candidate rotations
-# tested at once in `_list_group` (whose temporaries hold block * sites^2
-# dot products).
-_AXIS_BLOCK = 128
+# Candidate rotations tested at once in `_list_group` (whose temporaries
+# hold block * sites^2 dot products).
 _CANDIDATE_BLOCK = 32
 
 
@@ -127,24 +129,6 @@ def _perpendicular(v: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _first_on_each_line(units: np.ndarray, threshold: float) -> np.ndarray:
-    """Mask of the rows a greedy pass keeps: row i unless |units[i] . units[j]|
-    >= threshold for a kept j < i.  Blocks bound the Gram matrices; within
-    one, rows with no close earlier row are kept, rows close to those are
-    dropped, and only the rest need the loop."""
-    keep = np.zeros(len(units), dtype=bool)
-    for start in range(0, len(units), _AXIS_BLOCK):
-        block = units[start:start + _AXIS_BLOCK]
-        fresh = ~np.any(np.abs(block @ units[keep].T) >= threshold, axis=1)
-        rows = start + np.flatnonzero(fresh)
-        earlier = np.tril(np.abs(units[rows] @ units[rows].T) >= threshold, -1)
-        kept = ~earlier.any(axis=1)
-        for row in np.flatnonzero(~kept & ~(earlier & kept).any(axis=1)):
-            kept[row] = not np.any(earlier[row] & kept)
-        keep[rows] = kept
-    return keep
-
-
 def _frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal frames with columns a, e and a x e, where e is the
     normalized part of b orthogonal to a (rows of a and b pair up)."""
@@ -187,14 +171,13 @@ def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
 
 def _axis_bins(rotations, axis_tol: float = _MAT_TOL):
     """Group nonidentity rotations by axis line; order = count + 1.  A
-    rotation joins the first-opened bin within `axis_tol` of its axis."""
+    rotation joins the bin of the first rotation whose axis lies within
+    `axis_tol` of its own."""
     if not rotations:
         return []
     axes = _canonical_axis(np.array([rot.axis for rot in rotations]))
-    threshold = math.cos(axis_tol)
-    heads = np.flatnonzero(_first_on_each_line(axes, threshold))
-    first = np.argmax(np.abs(axes @ axes[heads].T) >= threshold, axis=1)
-    counts = np.bincount(first, minlength=len(heads))
+    first = np.argmax(np.abs(axes @ axes.T) >= math.cos(axis_tol), axis=1)
+    heads, counts = np.unique(first, return_counts=True)
     bins = [{"axis": axes[h], "count": int(c), "order": int(c) + 1}
             for h, c in zip(heads, counts)]
     bins.sort(key=lambda e: (-e["order"], tuple(np.round(-e["axis"], 9))))
@@ -218,48 +201,40 @@ def _elements(mats: np.ndarray) -> list[Rotation]:
     return [Rotation.identity()] + nonid
 
 
-def _classify(mats: np.ndarray, mat_tol: float = _MAT_TOL):
+# The polyhedral groups by (order, largest axis order) in the census.
+_POLYHEDRAL_CENSUS = {(12, 3): TETRAHEDRAL, (24, 4): OCTAHEDRAL, (60, 5): ICOSAHEDRAL}
+
+
+def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
     """Census of the closed rotation stack (identity first, nothing else within
-    `mat_tol` of it) -> (kind, order, principal, bins, elements)."""
+    `mat_tol` of it) -> (kind, order, principal, generators, elements)."""
     elements = _elements(mats)
-    nonid = elements[1:]
-    if not nonid:
-        return TRIVIAL, 0, None, [], elements
-    bins = _axis_bins(nonid, mat_tol)
+    if len(elements) == 1:
+        return TRIVIAL, 0, None, (), elements
+    bins = _axis_bins(elements[1:], mat_tol)
     size = len(elements)
     principal = bins[0]["axis"]
     top = bins[0]["order"]
-    if len(bins) == 1:
-        return CYCLIC, size, principal, bins, elements
     others_are_perpendicular_flips = all(
         entry["order"] == 2 and abs(float(entry["axis"] @ principal)) < mat_tol
         for entry in bins[1:])
     if size == 2 * top and others_are_perpendicular_flips and len(bins) == top + 1:
-        return DIHEDRAL, top, principal, bins, elements
-    if size == 12 and top == 3:
-        return TETRAHEDRAL, 0, principal, bins, elements
-    if size == 24 and top == 4:
-        return OCTAHEDRAL, 0, principal, bins, elements
-    if size == 60 and top == 5:
-        return ICOSAHEDRAL, 0, principal, bins, elements
-    # Incomplete census (tolerance drift): degrade to the best cyclic
-    # subgroup rather than guess.
-    return CYCLIC, top, principal, bins, elements
-
-
-def _pick_generators(kind: str, order: int, principal: np.ndarray,
-                     bins, elements: tuple[Rotation, ...]) -> tuple[Rotation, ...]:
-    if kind in (TRIVIAL,):
-        return ()
-    if kind == CYCLIC:
-        return (Rotation(principal, TWO_PI / order),)
-    if kind == DIHEDRAL:
-        return (Rotation(principal, TWO_PI / order),
-                Rotation(bins[1]["axis"], math.pi))
-    top = bins[0]["order"]
-    second = next(e for e in bins[1:] if abs(float(e["axis"] @ principal)) < 0.999)
-    return (Rotation(principal, TWO_PI / top),
-            Rotation(second["axis"], TWO_PI / second["order"]))
+        return DIHEDRAL, top, principal, (Rotation(principal, TWO_PI / top),
+                                          Rotation(bins[1]["axis"], math.pi)), elements
+    kind = _POLYHEDRAL_CENSUS.get((size, top))
+    if kind is not None:
+        second = next(e for e in bins[1:] if abs(float(e["axis"] @ principal)) < 0.999)
+        return kind, 0, principal, (Rotation(principal, TWO_PI / top),
+                                    Rotation(second["axis"], TWO_PI / second["order"])), elements
+    # One axis, or an incomplete census (tolerance drift) degraded to the
+    # best cyclic subgroup rather than a guess.  Sites closer than 2 tol let
+    # near-rotations pass as symmetries, but a cyclic group never has more
+    # elements than there are sites.  List the group the label names, the
+    # powers of its generator, rather than every near-rotation that passed.
+    order = min(top, site_count)
+    elements = _elements(np.stack([Rotation(principal, TWO_PI * k / order).matrix()
+                                   for k in range(order)]))
+    return CYCLIC, order, principal, (Rotation(principal, TWO_PI / order),), elements
 
 
 def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> SymmetryReport:
@@ -282,27 +257,16 @@ def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> Symmet
         # error, so the census threshold has to widen with them.
         mat_tol = max(_MAT_TOL, 4.0 * tol)
         mats = _list_group(sites, mult, tol)
-        kind, order, principal, bins, elements = _classify(mats, mat_tol)
-        if kind == CYCLIC:
-            # Sites closer than 2 tol let near-rotations pass as symmetries,
-            # but a cyclic group never has more elements than there are sites.
-            # List the group the label names, the powers of its generator,
-            # rather than every near-rotation that passed.
-            order = min(order, len(sites))
-            elements = _elements(np.stack([Rotation(principal, TWO_PI * k / order).matrix()
-                                           for k in range(order)]))
-        generators = _pick_generators(kind, order, principal, bins, tuple(elements))
+        kind, order, principal, generators, elements = _classify(mats, len(sites), mat_tol)
         report = SymmetryReport(kind, order, principal, generators,
                                 tuple(elements), False, "")
     invariant, witness = _invariance(config.n, report, sites, mult, mats, tol)
     return replace(report, totally_invariant=invariant, witness=witness)
 
 
-def _ti_axial(n: int, axis: np.ndarray, sites: np.ndarray, mult: np.ndarray, tol: float):
-    lat = sites @ axis
-    if np.any(np.abs(lat) < math.cos(tol)):
-        return False, "an off-axis point breaks the polar pattern"
-    north = int(mult[lat > 0].sum())
+def _ti_axial(n: int, axis: np.ndarray, sites: np.ndarray, mult: np.ndarray):
+    # SO(2) and O(2) come only from two antipodal sites: both are poles.
+    north = int(mult[sites @ axis > 0].sum())
     south = int(mult.sum()) - north
     return True, (f"all {n} points at the poles of the symmetry axis "
                   f"({north} north, {south} south)")
@@ -384,29 +348,26 @@ def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndar
         return False, (f"C{report.order} constrains only azimuths: latitude "
                        "rings can slide along the axis without breaking it")
     if kind in (SO2, O2):
-        return _ti_axial(n, report.axis, sites, mult, tol)
+        return _ti_axial(n, report.axis, sites, mult)
     orders = _stabiliser_orders(sites, mats, tol)
     if kind == DIHEDRAL:
         return _ti_dihedral(report.order, orders, mult)
     return _ti_polyhedral(n, kind, report.axis, sites, mats, orders, mult, tol)
 
 
+# The dihedral orders D_m that each polyhedral group contains.
+_DIHEDRAL_SUBGROUPS = {TETRAHEDRAL: {2}, OCTAHEDRAL: {2, 3, 4}, ICOSAHEDRAL: {2, 3, 5}}
+
+
 def contains_dihedral(config: MajoranaConfig, m: int, tol: float = COINCIDENCE_TOL) -> bool:
     """Whether some dihedral group D_m (order-m rotation plus perpendicular
-    flip) preserves the configuration, regardless of the maximal group."""
+    flip) preserves the configuration, regardless of the maximal group.
+    Read off the group `detect_group` reports: O(2) holds every D_m, D_k
+    holds D_m exactly when m divides k, and T, O and Y hold the orders in
+    `_DIHEDRAL_SUBGROUPS`."""
     if m < 2:
         raise ValueError("dihedral order must be at least 2")
     report = detect_group(config, tol)
-    if report.kind == O2:
-        return True
-    if not report.is_discrete or report.kind == CYCLIC:
-        return False
-    target = TWO_PI / m
-    flips = [e for e in report.elements if abs(e.angle - math.pi) < 1e-6]
-    for element in report.elements:
-        if abs(element.angle - target) > 1e-6:
-            continue
-        for flip in flips:
-            if abs(float(element.axis @ flip.axis)) < 1e-3:
-                return True
-    return False
+    if report.kind == DIHEDRAL:
+        return report.order % m == 0
+    return report.kind == O2 or m in _DIHEDRAL_SUBGROUPS.get(report.kind, ())

@@ -1,4 +1,5 @@
 """End-to-end command behavior: pipelines, exit codes, determinism."""
+import io
 import json
 import math
 import os
@@ -83,6 +84,36 @@ def test_symmetry_command(capsys, tmp_path):
     assert payload["group"] == "T"
     assert payload["totally_invariant"] is True
     assert len(payload["generators"]) == 2
+
+
+def test_gen_platonic_multiplicity(capsys, tmp_path):
+    # two points on each octahedron vertex, within the pattern's cap; the
+    # round trip smears each double point, hence the looser tolerance
+    state = tmp_path / "octa2.json"
+    assert run(capsys, "gen", "platonic", "--solid", "octahedron", "--mult", "2",
+               "-o", str(state))[0] == 0
+    assert json.loads(state.read_text())["n"] == 12
+    code, out, _ = run(capsys, "symmetry", "-i", str(state), "--tol", "1e-4")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["group"], payload["totally_invariant"]) == ("O", True)
+    assert run(capsys, "gen", "platonic", "--solid", "octahedron", "--mult", "4")[0] == 1
+
+
+def test_symmetry_reads_point_form_and_stdin(capsys, tmp_path, monkeypatch):
+    # point-form JSON goes to detection as it is; "-i -" reads stdin
+    state, points = tmp_path / "octa.json", tmp_path / "octa_points.json"
+    run(capsys, "gen", "platonic", "--solid", "octahedron", "-o", str(state))
+    run(capsys, "convert", "--to", "majorana", "-i", str(state), "-o", str(points))
+    assert "majorana" in json.loads(points.read_text())
+    expected = ("O", True, "points occupy octahedron vertex positions (6 sites)")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(points.read_text()))
+    for argv in (("-i", str(points)), ("-i", "-"), ()):
+        code, out, _ = run(capsys, "symmetry", *argv)
+        payload = json.loads(out)
+        assert code == 0, argv
+        assert (payload["group"], payload["totally_invariant"], payload["witness"]) == expected
+        monkeypatch.setattr(sys, "stdin", io.StringIO(points.read_text()))
 
 
 def test_slocc_command(capsys, tmp_path):

@@ -27,7 +27,7 @@ from majorana.catalog import (
     gen_tetrahedral,
     totally_invariant_states,
 )
-from majorana.entanglement import _MAX_SWEEPS, _frames, fibonacci_sphere
+from majorana.entanglement import _MAX_SWEEPS, _frames, _start_points, fibonacci_sphere
 from majorana.symstate import unit_to_angles
 
 from helpers import random_rotation
@@ -279,6 +279,23 @@ def test_start_set_is_lattice_plus_extras():
                   random_symmetric_state(20, np.random.default_rng(20))):
         result = geometric_measure(state)
         assert result.starts_used == max(32, state.n ** 2) + 8, state.n
+
+
+def test_start_on_an_antipode_is_nudged_off_it():
+    # one point opposite lattice start 5 of the n = 4 lattice: that start
+    # sits on a zero of F until the start set rotates it away
+    rng = np.random.default_rng(4)
+    extras = rng.standard_normal((3, 3))
+    extras /= np.linalg.norm(extras, axis=1)[:, None]
+    theta, phi = unit_to_angles(np.vstack([-fibonacci_sphere(32)[5], extras]))
+    state = to_dicke(MajoranaConfig(4, np.column_stack([theta, phi])))
+    units = to_majorana(state).unit_vectors()
+    assert (0.5 * (1.0 + fibonacci_sphere(32) @ units.T)).min() <= 1e-9
+    starts = _start_points(units, 4, OptimizerConfig())
+    assert (0.5 * (1.0 + starts @ units.T)).min() > 1e-9
+    result = geometric_measure(state)
+    assert result.converged
+    assert abs(result.lam - grid_oracle(state, 300).lam) < 1e-8
 
 
 def test_inventory_sweep_budget():

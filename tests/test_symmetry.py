@@ -270,8 +270,23 @@ def test_moving_one_point_breaks_each_solid(where, psi):
         assert not report.totally_invariant, solid
 
 
-# Reference implementations as plain loops: the greedy line dedupe and the
-# axis bins, one line or one rotation at a time.
+def test_contains_dihedral_agrees_with_detected_solid():
+    # a vertex nudged by 1e-5 rad keeps the solid's group at tol 1e-4 and
+    # 1e-3, so it keeps that group's dihedral subgroups too
+    subgroups = {"tetrahedron": ("T", {2}), "octahedron": ("O", {2, 3, 4}),
+                 "icosahedron": ("Y", {2, 3, 5})}
+    for solid, (label, orders) in subgroups.items():
+        cfg = _config(gen_platonic(solid))
+        for psi in (0.0, 1.0):
+            moved = _nudge(cfg, 0, 1e-5, psi)
+            for tol in (1e-4, 1e-3):
+                assert detect_group(moved, tol).label == label, (solid, psi, tol)
+                found = {m for m in range(2, 13) if contains_dihedral(moved, m, tol)}
+                assert found == orders, (solid, psi, tol)
+
+
+# Reference implementation of the axis bins as a plain greedy loop, one
+# rotation at a time.
 
 
 def _canonical_axis_loop(v):
@@ -279,13 +294,6 @@ def _canonical_axis_loop(v):
     top = max(abs(c) for c in v)
     lead = next(c for c in v if abs(c) >= top - 1e-9)
     return -v if lead < 0 else v.copy()
-
-
-def _first_on_each_line_loop(units, threshold):
-    keep = np.zeros(len(units), dtype=bool)
-    for i, v in enumerate(units):
-        keep[i] = not np.any(np.abs(units[keep] @ v) >= threshold)
-    return keep
 
 
 def _axis_bins_loop(rotations, axis_tol):
@@ -403,24 +411,6 @@ def test_sixty_four_points():
     assert report.order <= 64
 
 
-def test_line_dedupe_matches_greedy_loop_on_chains():
-    # lines 0.03 rad apart at a 0.05 rad threshold form chains, where the
-    # greedy keeps every other line; 400 rows span several blocks
-    rng = np.random.default_rng(7)
-    starts = rng.normal(size=(40, 3))
-    units = []
-    for start in starts:
-        axis = symmetry._perpendicular(start / np.linalg.norm(start))
-        units += [Rotation(axis, 0.03 * k).apply(start / np.linalg.norm(start))
-                  for k in range(10)]
-    units = np.array(units)[rng.permutation(400)]
-    units[rng.random(400) < 0.5] *= -1.0
-    threshold = math.cos(0.05)
-    keep = symmetry._first_on_each_line(units, threshold)
-    assert np.array_equal(keep, _first_on_each_line_loop(units, threshold))
-    assert 40 < keep.sum() < 400
-
-
 def test_half_turn_axes_ignore_rounding_noise():
     # at angle pi the quaternion's w is rounding noise: a +-1e-15
     # antisymmetric term flips its sign, which must not flip the axis
@@ -431,11 +421,11 @@ def test_half_turn_axes_ignore_rounding_noise():
         mats = np.array([rot.matrix() for rot in report.elements])
         half_turns = [abs(rot.angle - math.pi) < 1e-6 for rot in report.elements]
         assert any(half_turns)
-        expected = symmetry._classify(mats)[4]
+        expected = symmetry._classify(mats, len(mats))[4]
         for sign in (1.0, -1.0):
             noisy = mats.copy()
             noisy[half_turns] += sign * 1e-15 * skew
-            elements = symmetry._classify(noisy)[4]
+            elements = symmetry._classify(noisy, len(noisy))[4]
             assert len(elements) == len(expected)
             for got, want in zip(elements, expected):
                 assert abs(got.angle - want.angle) < 1e-12
@@ -450,11 +440,11 @@ def test_half_turn_order_survives_seeded_noise():
         report = detect_group(_config(state))
         mats = np.array([rot.matrix() for rot in report.elements])
         half_turns = np.array([abs(rot.angle - math.pi) < 1e-6 for rot in report.elements])
-        expected = symmetry._classify(mats)[4]
+        expected = symmetry._classify(mats, len(mats))[4]
         for trial in range(200):
             noisy = mats.copy()
             noisy[half_turns] += 1e-15 * rng.standard_normal((half_turns.sum(), 3, 3))
-            elements = symmetry._classify(noisy)[4]
+            elements = symmetry._classify(noisy, len(noisy))[4]
             assert len(elements) == len(expected)
             for got, want in zip(elements, expected):
                 assert abs(got.angle - want.angle) < 1e-12, trial
