@@ -24,6 +24,7 @@ from .symstate import (
     to_json_dict,
     to_json_text,
     parse_json_text,
+    wigner_rotation,
 )
 from .entanglement import (
     OptimizerConfig,
@@ -34,7 +35,7 @@ from .entanglement import (
     log_overlap_sq_gradient,
 )
 from .symmetry import SymmetryReport, detect_group, contains_dihedral
-from .twirl import TwirlCertificate, wigner_rotation, certify_equivalence
+from .twirl import TwirlCertificate, certify_equivalence
 from .slocc import Verdict, degeneracy_signature, slocc_distinguish, four_qubit_table
 from .catalog import (
     CatalogEntry,
@@ -65,6 +66,7 @@ __all__ = [
     "to_json_dict",
     "to_json_text",
     "parse_json_text",
+    "wigner_rotation",
     "OptimizerConfig",
     "EntanglementResult",
     "geometric_measure",
@@ -75,7 +77,6 @@ __all__ = [
     "detect_group",
     "contains_dihedral",
     "TwirlCertificate",
-    "wigner_rotation",
     "certify_equivalence",
     "Verdict",
     "degeneracy_signature",

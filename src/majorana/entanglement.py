@@ -29,7 +29,8 @@ below the best would set the run time.  Dropped starts keep their
 positions and stay candidates, and `iterations` still counts the ascent
 sweeps.  Up to three winners within 1e-3 of the best value and at least
 1e-2 rad apart are then polished together by the same routine, to the
-gradient tolerance, and the best polished one is returned.  For
+gradient tolerance, and the best polished one is returned; among winners
+within 4 eps of the best value, the one with the smallest gradient.  For
 n >= 3 the closest product states are the global maximizers, so a few
 distinct ascent winners suffice; a product state, one exact n-fold point
 from `to_majorana`, needs no ascent (Lambda = 1).  Lambda is always
@@ -93,6 +94,9 @@ _POLISH_SWEEPS = 100
 # `converged` (in `geometric_measure` and `grid_oracle` alike).
 _MAX_SWEEPS = 300
 _POLISH_GRADIENT_TOL = 1e-10
+# Polished winners within this of the best value tie (on D22(26,2)'s ring three
+# agree to 4.4e-16, with gradients 7e-11 to 2.6e-8); the flattest wins.
+_VALUE_TIE = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -304,11 +308,13 @@ def _distinct_winners(units: np.ndarray, values: np.ndarray) -> list[int]:
 def _best_refined(amps: np.ndarray, mp_units: np.ndarray,
                   units: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Polish a few candidates together; the best by amplitude-form value,
-    with that value and its gradient norm."""
+    ties within _VALUE_TIE to the smallest gradient, with that value and
+    its gradient norm."""
     units, gnorms, _ = _newton_ascent(mp_units, units, _POLISH_GRADIENT_TOL,
                                       _POLISH_SWEEPS, polish=True)
     values = _overlap_sq(amps, units)
-    best = int(np.argmax(values))
+    tied = np.flatnonzero(values >= values.max() - _VALUE_TIE)
+    best = int(tied[np.argmin(gnorms[tied])])
     return units[best], float(values[best]), float(gnorms[best])
 
 

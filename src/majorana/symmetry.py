@@ -11,11 +11,11 @@ pair of sites with the same multiplicities and the same angle, and each
 rotation so built is kept when it maps every site onto a site of equal
 multiplicity, one to one.  No axis is guessed and no group is closed, so
 axes that no site or pair of sites spans (the three-fold axes of a
-generic tetrahedral orbit, say) are found like any other.  A census then
-bins the listed rotations by axis line, each joining the bin of the first
-rotation whose axis lies within the census threshold of its own, and the
-group order and bin orders name the kind.  `contains_dihedral` reads its
-answer off that report, so it cannot contradict the detected label.
+generic tetrahedral orbit, say) are found like any other.  A census bins
+the listed rotations by axis line (the bin of the first rotation whose
+axis lies within the census threshold); the group and bin orders name the
+kind, and D_m also needs its turns to be powers of 2*pi/m.  The report
+decides `contains_dihedral`, so it cannot contradict the detected label.
 
 The report also carries the total-invariance verdict (`totally_invariant`,
 with a `witness` string), read off each site's stabiliser order: how many
@@ -105,11 +105,6 @@ class SymmetryReport:
         if self.kind == DIHEDRAL:
             return f"D{self.order}"
         return _LABELS[self.kind]
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.kind in (TRIVIAL, CYCLIC, DIHEDRAL, TETRAHEDRAL,
-                             OCTAHEDRAL, ICOSAHEDRAL)
 
 
 def _canonical_axis(v: np.ndarray) -> np.ndarray:
@@ -205,6 +200,12 @@ def _elements(mats: np.ndarray) -> list[Rotation]:
 _POLYHEDRAL_CENSUS = {(12, 3): TETRAHEDRAL, (24, 4): OCTAHEDRAL, (60, 5): ICOSAHEDRAL}
 
 
+def _is_power(angles: np.ndarray, m: int, mat_tol: float) -> bool:
+    """Whether every angle lies within `mat_tol` of a multiple of 2*pi/m."""
+    step = TWO_PI / m
+    return bool(np.all(np.abs(angles - step * np.round(angles / step)) <= mat_tol))
+
+
 def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
     """Census of the closed rotation stack (identity first, nothing else within
     `mat_tol` of it) -> (kind, order, principal, generators, elements)."""
@@ -215,10 +216,13 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
     size = len(elements)
     principal = bins[0]["axis"]
     top = bins[0]["order"]
+    turns = np.array([r.angle for r in elements[1:]
+                      if abs(float(r.axis @ principal)) >= math.cos(mat_tol)])
     others_are_perpendicular_flips = all(
         entry["order"] == 2 and abs(float(entry["axis"] @ principal)) < mat_tol
         for entry in bins[1:])
-    if size == 2 * top and others_are_perpendicular_flips and len(bins) == top + 1:
+    if (size == 2 * top and others_are_perpendicular_flips and len(bins) == top + 1
+            and _is_power(turns, top, mat_tol)):
         return DIHEDRAL, top, principal, (Rotation(principal, TWO_PI / top),
                                           Rotation(bins[1]["axis"], math.pi)), elements
     kind = _POLYHEDRAL_CENSUS.get((size, top))
@@ -229,9 +233,14 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
     # One axis, or an incomplete census (tolerance drift) degraded to the
     # best cyclic subgroup rather than a guess.  Sites closer than 2 tol let
     # near-rotations pass as symmetries, but a cyclic group never has more
-    # elements than there are sites.  List the group the label names, the
-    # powers of its generator, rather than every near-rotation that passed.
+    # elements than there are sites.  Turns that are not powers of 2*pi/order
+    # betray missed rotations: take the largest order one listed turn has.
     order = min(top, site_count)
+    if not _is_power(turns, order, mat_tol):
+        order = max(next((m for m in range(2, site_count + 1)
+                          if _is_power(turn, m, mat_tol)), 1) for turn in turns)
+    if order == 1:
+        return TRIVIAL, 0, None, (), elements[:1]
     elements = _elements(np.stack([Rotation(principal, TWO_PI * k / order).matrix()
                                    for k in range(order)]))
     return CYCLIC, order, principal, (Rotation(principal, TWO_PI / order),), elements

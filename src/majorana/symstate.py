@@ -17,8 +17,12 @@ gives (cos(theta/2), e^(i phi) sin(theta/2)), exactly zero at the poles;
 the product expansion convolves one such factor per point, and
 `_binomial_rows` expands n equal ones into sqrt(C(n,k)) a^(n-k) b^k.
 
+Rotations move the points rigidly (`rotate`) and the amplitudes by the
+spin-n/2 unitary (`wigner_rotation`), so `rotate_state` finds no roots.
+
 Angles are radians throughout: theta is the polar angle in [0, pi]
-measured from +z, phi the azimuth in [0, 2*pi).
+measured from +z, phi the azimuth in [0, 2*pi), wrapped there directly, so
+a configuration is a fixed point of its constructor and JSON round trip.
 """
 from __future__ import annotations
 
@@ -70,10 +74,20 @@ def unit_to_angles(vecs) -> tuple[np.ndarray, np.ndarray]:
     return theta, phi
 
 
+def _wrap_angle(x):
+    """x mod 2*pi in [0, 2*pi): a second mod takes the 2*pi that the first
+    rounds a tiny negative x up to onto 0."""
+    return np.mod(np.mod(x, TWO_PI), TWO_PI)
+
+
 def _canonical_points(points: np.ndarray) -> np.ndarray:
-    """Wrap angles, zero the azimuth at the poles, sort lexicographically."""
-    vecs = angles_to_unit(points[:, 0], points[:, 1])
-    theta, phi = unit_to_angles(vecs)
+    """Wrap theta into [0, pi] (theta above pi becomes 2*pi - theta, its phi
+    gains pi) and phi into [0, 2*pi), zero the azimuth at the poles, sort
+    lexicographically.  Each step leaves canonical angles unchanged."""
+    theta = np.mod(points[:, 0], TWO_PI)
+    over = theta > math.pi
+    theta = np.where(over, TWO_PI - theta, theta)
+    phi = _wrap_angle(points[:, 1] + np.where(over, math.pi, 0.0))
     north = theta <= _POLE_SNAP
     south = theta >= math.pi - _POLE_SNAP
     theta = np.where(north, 0.0, np.where(south, math.pi, theta))
@@ -144,7 +158,7 @@ class MajoranaConfig:
         pts.flags.writeable = False
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "global_phase", phase % TWO_PI)
+        object.__setattr__(self, "global_phase", float(_wrap_angle(phase)))
 
     def unit_vectors(self) -> np.ndarray:
         """All n points as unit vectors, shape (n, 3), in canonical order."""
@@ -235,6 +249,51 @@ def state_fidelity(a: SymmetricState, b: SymmetricState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
+@lru_cache(maxsize=64)
+def spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Jx, Jy, Jz) for spin n/2 in the excitation-number basis k:
+    Jz = diag(n/2 - k), and the lowering operator steps k -> k+1."""
+    k = np.arange(n, dtype=float)
+    jz = np.diag(n / 2.0 - np.arange(n + 1))
+    jminus = np.diag(np.sqrt((k + 1.0) * (n - k)), -1)
+    jplus = jminus.T
+    jx = 0.5 * (jplus + jminus)
+    jy = -0.5j * (jplus - jminus)
+    jx.flags.writeable = jy.flags.writeable = jz.flags.writeable = False
+    return jx, jy, jz
+
+
+@lru_cache(maxsize=64)
+def _jy_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (snapped to the exact -n/2..n/2) and eigenvectors of Jy."""
+    values, vectors = np.linalg.eigh(spin_matrices(n)[1])
+    values = np.round(2.0 * values) / 2.0
+    for arr in (values, vectors):
+        arr.flags.writeable = False
+    return values, vectors
+
+
+def _frame(n: int, axis: np.ndarray) -> np.ndarray:
+    """A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the angles of `axis`:
+    the action of a rotation carrying +z onto the axis.  Jz is diagonal and
+    Jy's eigenbasis gives the other factor, with no matrix exponential."""
+    if n > MAX_DEGREE:
+        raise ValueError(f"qubit count {n} exceeds supported maximum {MAX_DEGREE}")
+    x, y, z = axis
+    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+    values, vectors = _jy_eigenbasis(n)
+    small_d = (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T
+    return np.exp(-1j * phi * (n / 2.0 - np.arange(n + 1)))[:, None] * small_d
+
+
+def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
+    """Unitary action of a sphere rotation on the n-qubit symmetric subspace:
+    exp(-i alpha a.J) = A exp(-i alpha Jz) A^dagger, with a the rotation's
+    axis and A = `_frame(n, a)`."""
+    align = _frame(n, r.axis)
+    return (align * np.exp(-1j * r.angle * (n / 2.0 - np.arange(n + 1)))) @ align.conj().T
+
+
 def _spinors(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """Spinors (cos(theta/2), e^(i phi) sin(theta/2)) of a batch of
     directions, exactly zero at both poles."""
@@ -274,20 +333,18 @@ def _coherent_direction(amps: np.ndarray) -> tuple[float, float] | None:
     _PRODUCT_RESIDUAL of a spin coherent state times a phase.
 
     Root finding smears an n-fold point by about eps^(1/n), so the direction
-    comes from the spin vector instead: a coherent state has <S_z> =
-    (n/2) cos theta and t = sum_k sqrt((k+1)(n-k)) conj(a_k) a_(k+1) =
-    (n/2) sin theta e^(i phi).  Within the bound the spin length falls short
-    of n/2 by at most n * _PRODUCT_RESIDUAL; a state short by more than ten
-    times that is turned away at once.
+    comes from the spin vector instead: a coherent state has <J> = (n/2)
+    (sin theta cos phi, sin theta sin phi, cos theta), read off
+    `spin_matrices`.  Within the bound the spin length falls short of n/2
+    by at most n * _PRODUCT_RESIDUAL; a state short by more than ten times
+    that is turned away at once.
     """
     n = amps.size - 1
-    k = np.arange(n + 1)
-    sz = 0.5 * n - float(np.abs(amps) ** 2 @ k)
-    t = complex(np.vdot(amps[:-1], np.sqrt(k[1:] * k[:0:-1]) * amps[1:]))
-    if 0.5 * n - math.hypot(sz, abs(t)) > 10.0 * n * _PRODUCT_RESIDUAL:
+    sx, sy, sz = (np.vdot(amps, j @ amps).real for j in spin_matrices(n))
+    if 0.5 * n - math.sqrt(sx * sx + sy * sy + sz * sz) > 10.0 * n * _PRODUCT_RESIDUAL:
         return None
-    theta = math.atan2(abs(t), sz)
-    phi = math.atan2(t.imag, t.real) % TWO_PI
+    theta = math.atan2(math.hypot(sx, sy), sz)
+    phi = math.atan2(sy, sx)
     coherent = _binomial_rows(*_spinors(theta, phi), n)[0]
     overlap = complex(np.vdot(coherent, amps))
     residual = amps - (overlap / abs(overlap)) * coherent
@@ -313,12 +370,10 @@ def to_majorana(state: SymmetricState) -> MajoranaConfig:
     else:
         finite, n_inf = polynomial_roots(binomial_weights(n) * state.amps)
         pts = np.zeros((n, 2))
-        theta_zero = 2.0 * np.arctan(np.abs(finite))
-        phi_zero = (-np.angle(finite)) % TWO_PI
-        pts[n_inf:, 0] = math.pi - theta_zero
-        pts[n_inf:, 1] = (phi_zero + math.pi) % TWO_PI
-    recon = _product_amplitudes(_canonical_points(pts))
-    phase = float(np.angle(np.vdot(recon, state.amps))) % TWO_PI
+        pts[n_inf:, 0] = math.pi - 2.0 * np.arctan(np.abs(finite))
+        pts[n_inf:, 1] = math.pi - np.angle(finite)
+    pts = _canonical_points(pts)
+    phase = float(np.angle(np.vdot(_product_amplitudes(pts), state.amps)))
     return MajoranaConfig(n, pts, phase)
 
 
@@ -337,12 +392,9 @@ def rotate(config: MajoranaConfig, r: Rotation) -> MajoranaConfig:
 
 
 def rotate_state(state: SymmetricState, r: Rotation) -> SymmetricState:
-    """Rotate a state by round-tripping through its point configuration.
-
-    The result is the rotated ray; its global phase follows the product
-    expansion convention rather than any particular unitary's phase.
-    """
-    return to_dicke(rotate(to_majorana(state), r))
+    """Apply `wigner_rotation(n, r)` to the amplitudes: exact, no roots, and
+    the global phase is that of the unitary exp(-i alpha a.J)."""
+    return SymmetricState(state.n, wigner_rotation(state.n, r) @ state.amps)
 
 
 def coherent_matrix(n: int, units) -> np.ndarray:
@@ -358,15 +410,10 @@ def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:
 
 
 def pairwise_angles(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Matrix of angular separations between two sets of unit vectors.
-
-    arctan2(|cross|, dot) rather than arccos(dot): the latter loses half the
-    working precision near coincident or antipodal directions.
-    """
-    va, vb = np.asarray(va), np.asarray(vb)
-    dots = va @ vb.T
-    crosses = np.linalg.norm(np.cross(va[:, None, :], vb[None, :, :]), axis=-1)
-    return np.arctan2(crosses, dots)
+    """Angles 2 arctan2(|a - b|, |a + b|) between two sets of unit vectors:
+    arccos(a.b) would lose half the precision at coincident or antipodal pairs."""
+    va, vb = np.asarray(va)[:, None, :], np.asarray(vb)[None, :, :]
+    return 2.0 * np.arctan2(np.linalg.norm(va - vb, axis=-1), np.linalg.norm(va + vb, axis=-1))
 
 
 def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[np.ndarray]:
@@ -480,6 +527,22 @@ def _require_number(value, path: str) -> float:
     return number
 
 
+def _number_pairs(data: dict, key: str, count: int, fields: tuple[str, str]) -> np.ndarray:
+    """The two numbers `fields` of each of `count` objects under `key`, (count, 2)."""
+    entries = data[key]
+    if not isinstance(entries, list) or len(entries) != count:
+        raise SchemaError(f"$.{key}", f"expected a list of {count} entries")
+    pairs = np.zeros((count, 2))
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise SchemaError(f"$.{key}[{i}]", "expected an object with '{}'/'{}'".format(*fields))
+        for field in fields:
+            if field not in entry:
+                raise SchemaError(f"$.{key}[{i}].{field}", "missing required field")
+        pairs[i] = [_require_number(entry[field], f"$.{key}[{i}].{field}") for field in fields]
+    return pairs
+
+
 def parse_json_dict(data) -> SymmetricState | MajoranaConfig:
     """Parse either JSON form; raises SchemaError with a field path."""
     if not isinstance(data, dict):
@@ -494,34 +557,12 @@ def parse_json_dict(data) -> SymmetricState | MajoranaConfig:
     if has_dicke == has_majorana:
         raise SchemaError("$", "exactly one of 'dicke'/'majorana' must be present")
     if has_dicke:
-        entries = data["dicke"]
-        if not isinstance(entries, list) or len(entries) != n + 1:
-            raise SchemaError("$.dicke", f"expected a list of {n + 1} entries")
-        amps = np.zeros(n + 1, dtype=complex)
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise SchemaError(f"$.dicke[{i}]", "expected an object with 're'/'im'")
-            for key in ("re", "im"):
-                if key not in entry:
-                    raise SchemaError(f"$.dicke[{i}].{key}", "missing required field")
-            amps[i] = complex(_require_number(entry["re"], f"$.dicke[{i}].re"),
-                              _require_number(entry["im"], f"$.dicke[{i}].im"))
+        re_im = _number_pairs(data, "dicke", n + 1, ("re", "im"))
         try:
-            return SymmetricState(n, amps)
+            return SymmetricState(n, re_im[:, 0] + 1j * re_im[:, 1])
         except ValueError as exc:
             raise SchemaError("$.dicke", str(exc)) from exc
-    entries = data["majorana"]
-    if not isinstance(entries, list) or len(entries) != n:
-        raise SchemaError("$.majorana", f"expected a list of {n} entries")
-    pts = np.zeros((n, 2))
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise SchemaError(f"$.majorana[{i}]", "expected an object with 'theta'/'phi'")
-        for key in ("theta", "phi"):
-            if key not in entry:
-                raise SchemaError(f"$.majorana[{i}].{key}", "missing required field")
-        pts[i] = (_require_number(entry["theta"], f"$.majorana[{i}].theta"),
-                  _require_number(entry["phi"], f"$.majorana[{i}].phi"))
+    pts = _number_pairs(data, "majorana", n, ("theta", "phi"))
     phase = _require_number(data.get("phase", 0.0), "$.phase")
     return MajoranaConfig(n, pts, phase)
 

@@ -3,13 +3,11 @@ certificate.
 
 Everything lives in the (n+1)-dimensional symmetric subspace: product
 states along a direction are the coherent vectors, rotations act through
-the spin-n/2 representation (exp(-i alpha n.J), built from a diagonal
-Jz phase and a cached eigenbasis of Jy),
-and averaging a maximizing product state over the detected symmetry group
-yields an invariant separable operator omega.  If the residual
-Delta = (omega - Lambda |psi><psi|) / (1 - Lambda) is a density matrix
-with no component on psi, then omega has the split that pins three
-entanglement measures of psi to the common value -log2(Lambda).
+`symstate.wigner_rotation`, and averaging a maximizing product state
+over the detected symmetry group yields an invariant separable operator
+omega.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
+is a density matrix with no component on psi, then omega has the split that
+pins three entanglement measures of psi to the common value -log2(Lambda).
 
 The residual of the full 2^n-dimensional construction can have components
 outside the symmetric subspace; omega here is built entirely inside the
@@ -26,16 +24,13 @@ psi need not be an eigenvector of omega and Delta can fail positivity.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._roots import MAX_DEGREE
 from .entanglement import EntanglementResult
 from .symmetry import O2, SO2, SO3, TRIVIAL, SymmetryReport
-from .symstate import Rotation, SymmetricState, coherent_amplitudes
+from .symstate import SymmetricState, _frame, coherent_amplitudes, wigner_rotation
 
 _HERMITIAN_TOL = 1e-12
 
@@ -43,58 +38,6 @@ OVERLAP_TOL = 1e-6
 PSD_TOL = 1e-9
 RESIDUAL_COMPONENT_TOL = 1e-9
 TRACE_TOL = 1e-9
-
-
-@lru_cache(maxsize=64)
-def spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) for spin n/2 in the excitation-number basis.
-
-    Basis index k counts excitations, so Jz = diag(n/2 - k) and the
-    lowering operator steps k -> k+1.
-    """
-    k = np.arange(n + 1)
-    jz = np.diag(n / 2.0 - k)
-    jminus = np.zeros((n + 1, n + 1))
-    steps = np.sqrt((k[:-1] + 1.0) * (n - k[:-1]))
-    jminus[k[:-1] + 1, k[:-1]] = steps
-    jplus = jminus.T.copy()
-    jx = 0.5 * (jplus + jminus)
-    jy = -0.5j * (jplus - jminus)
-    for mat in (jx, jy, jz):
-        mat.flags.writeable = False
-    return jx, jy, jz
-
-
-@lru_cache(maxsize=64)
-def _jy_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (snapped to the exact -n/2..n/2) and eigenvectors of Jy."""
-    values, vectors = np.linalg.eigh(spin_matrices(n)[1])
-    values = np.round(2.0 * values) / 2.0
-    for arr in (values, vectors):
-        arr.flags.writeable = False
-    return values, vectors
-
-
-def _frame(n: int, axis: np.ndarray) -> np.ndarray:
-    """A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the angles of `axis`:
-    the action of a rotation carrying +z onto the axis.  Jz is diagonal and
-    exp(-i theta Jy) comes from Jy's eigenbasis, so no matrix exponential
-    is needed."""
-    if n > MAX_DEGREE:
-        raise ValueError(f"qubit count {n} exceeds supported maximum {MAX_DEGREE}")
-    x, y, z = axis
-    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
-    values, vectors = _jy_eigenbasis(n)
-    small_d = (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T
-    return np.exp(-1j * phi * (n / 2.0 - np.arange(n + 1)))[:, None] * small_d
-
-
-def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
-    """Unitary action of a sphere rotation on the n-qubit symmetric subspace:
-    exp(-i alpha a.J) = A exp(-i alpha Jz) A^dagger, with a the rotation's
-    axis and A = `_frame(n, a)`."""
-    align = _frame(n, r.axis)
-    return (align * np.exp(-1j * r.angle * (n / 2.0 - np.arange(n + 1)))) @ align.conj().T
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,15 +39,15 @@ PRODUCT_THETAS = (0.0, 1e-13, 1e-7, 1.1, np.pi - 1e-7, np.pi - 1e-13, np.pi)
 
 def product_states(n: int, theta: float, phi: float, rng) -> list:
     """One n-qubit product state built four ways: coherent amplitudes with a
-    random scale and phase, `to_dicke` of n equal points, `rotate_state`,
-    and a Wigner matrix acting on the amplitudes."""
-    from majorana import SymmetricState, coherent_amplitudes, rotate_state, to_dicke
-    from majorana.twirl import wigner_rotation
+    random scale and phase, `to_dicke` of n equal points, a rotation of its
+    points, and a Wigner matrix acting on the amplitudes."""
+    from majorana import (SymmetricState, coherent_amplitudes, rotate, to_dicke, to_majorana,
+                          wigner_rotation)
 
     coherent = coherent_amplitudes(n, theta, phi)
     turn = random_rotation(rng)
     return [SymmetricState(n, coherent * rng.uniform(0.1, 10.0)
                            * np.exp(2j * np.pi * rng.uniform())),
             to_dicke(MajoranaConfig(n, [[theta, phi]] * n, rng.uniform(0.0, 2.0 * np.pi))),
-            rotate_state(SymmetricState(n, coherent), turn),
+            to_dicke(rotate(to_majorana(SymmetricState(n, coherent)), turn)),
             SymmetricState(n, wigner_rotation(n, turn) @ coherent)]

@@ -11,14 +11,14 @@ PUBLIC = {
     "SymmetricState", "MajoranaConfig", "Rotation", "SchemaError", "state_fidelity",
     "to_majorana", "to_dicke", "rotate", "rotate_state", "coherent_amplitudes",
     "config_close", "random_symmetric_state", "to_json_dict", "to_json_text",
-    "parse_json_text",
+    "parse_json_text", "wigner_rotation",
     # entanglement
     "OptimizerConfig", "EntanglementResult", "geometric_measure", "grid_oracle",
     "log_overlap_sq", "log_overlap_sq_gradient",
     # symmetry
     "SymmetryReport", "detect_group", "contains_dihedral",
     # twirl
-    "TwirlCertificate", "wigner_rotation", "certify_equivalence",
+    "TwirlCertificate", "certify_equivalence",
     # slocc
     "Verdict", "degeneracy_signature", "slocc_distinguish", "four_qubit_table",
     # catalog

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.spatial.transform import Rotation as SciRotation
 
 from majorana import Rotation, wigner_rotation
-from majorana.twirl import spin_matrices
+from majorana.symstate import spin_matrices
 
 EDGE_ANGLES = (0.0, 1e-9, math.pi - 1e-9, math.pi, 2 * math.pi - 1e-9)
 

@@ -285,6 +285,37 @@ def test_contains_dihedral_agrees_with_detected_solid():
                 assert found == orders, (solid, psi, tol)
 
 
+def test_dihedral_label_agrees_with_its_listed_turns():
+    # a D5(9,2) ring point nudged by exactly the tolerance can hide some
+    # rotations from the listing; a D_m label must still list only powers of
+    # 2 pi/m about its axis, or give way to the cyclic group of the turns
+    cfg = _config(gen_dihedral(9, 2))
+    labels = set()
+    for index in np.flatnonzero((cfg.points[:, 0] > 0.1) & (cfg.points[:, 0] < 3.0)):
+        for j in range(12):
+            report = detect_group(_nudge(cfg, index, 1e-5, math.pi * j / 6), 1e-5)
+            labels.add(report.label)
+            if report.kind == symmetry.DIHEDRAL:
+                turns = np.array([r.angle for r in report.elements[1:]
+                                  if abs(r.axis @ report.axis) >= math.cos(1e-3)])
+                step = 2 * math.pi / report.order
+                assert np.all(np.abs(turns - step * np.round(turns / step)) <= 1e-3)
+    assert labels == {"Trivial", "C2", "C5"}
+
+
+def test_cyclic_fallback_takes_its_order_from_the_listed_turns():
+    # a census count of 3 with 2 pi/5 turns listed is C5, not C3; a lone
+    # 0.26 rad near-rotation (two sites closer than 2 tol) generates no
+    # cyclic group on three sites, so nothing is reported
+    z = np.array([0.0, 0.0, 1.0])
+    fifths = np.stack([np.eye(3)] + [Rotation(z, 2 * math.pi * k / 5).matrix() for k in (1, 2)])
+    kind, order, _, _, elements = symmetry._classify(fifths, 7)
+    assert (kind, order, len(elements)) == (symmetry.CYCLIC, 5, 5)
+    near = np.stack([np.eye(3), Rotation(z, 0.26).matrix()])
+    kind, order, _, _, elements = symmetry._classify(near, 3)
+    assert (kind, order, len(elements)) == (symmetry.TRIVIAL, 0, 1)
+
+
 # Reference implementation of the axis bins as a plain greedy loop, one
 # rotation at a time.
 

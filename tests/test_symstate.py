@@ -212,6 +212,18 @@ def test_rotate_state_preserves_fidelity_structure():
     assert state_fidelity(back, state) > 1.0 - 1e-12
 
 
+def test_rotate_state_is_exact_on_large_clusters():
+    # a 46-fold cluster is smeared by any root finder, so a rotation that
+    # went through the roots would lose fidelity; the spin-n/2 action does not
+    rng = np.random.default_rng(46)
+    for _ in range(10):
+        points = np.column_stack([np.arccos(rng.uniform(-1, 1, 8)), rng.uniform(0, 2 * np.pi, 8)])
+        config = MajoranaConfig(53, np.vstack([np.repeat(points[:1], 46, axis=0), points[1:]]))
+        rot = random_rotation(rng)
+        expected = to_dicke(rotate(config, rot))
+        assert state_fidelity(rotate_state(to_dicke(config), rot), expected) >= 1.0 - 1e-12
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_rotation_rejects_non_finite_angle(angle):
     with pytest.raises(ValueError, match="angle"):
@@ -299,6 +311,9 @@ def test_pairwise_angles_and_clusters():
     assert angles.shape == (4, 4)
     np.testing.assert_array_equal(pairwise_angles(vecs[:2], vecs), angles[:2])
     assert abs(angles[0, 3] - np.pi) < 1e-12
+    # full relative precision at coincident and antipodal pairs
+    assert abs(angles[0, 1] - 1e-9) < 1e-22
+    assert abs(angles[1, 3] - (np.pi - 1e-9)) < 1e-15
     clusters = cluster_directions(vecs, tol=1e-6)
     sizes = sorted(len(c) for c in clusters)
     assert sizes == [1, 1, 2]
@@ -405,6 +420,30 @@ def test_json_round_trip_both_forms():
     assert isinstance(again, MajoranaConfig)
     assert config_close(cfg, again, tol=1e-12)
     assert abs(again.global_phase - cfg.global_phase) < 1e-12
+
+
+def test_canonical_form_is_a_fixed_point():
+    # rebuilding a config from its own points, or from its own JSON, changes nothing
+    rng = np.random.default_rng(64)
+    for n in range(1, 65):
+        for _ in range(5):
+            cfg = to_majorana(random_symmetric_state(n, rng))
+            again = MajoranaConfig(cfg.n, cfg.points, cfg.global_phase)
+            np.testing.assert_array_equal(again.points, cfg.points)
+            assert again.global_phase == cfg.global_phase
+            text = to_json_text(cfg)
+            assert parse_json_text(text) == cfg
+            assert to_json_text(parse_json_text(text)) == text
+
+
+def test_canonical_angles_wrap_without_trigonometry():
+    # theta above pi reflects and turns phi by pi; a wrap to exactly 2 pi is 0
+    cfg = MajoranaConfig(3, [[-0.3, 0.2], [2 * np.pi - 0.5, 1.0], [1.0, -1e-300]], -1e-300)
+    np.testing.assert_allclose(cfg.points, [[0.3, 0.2 + np.pi], [0.5, 1.0 + np.pi],
+                                            [1.0, 0.0]], rtol=0, atol=1e-15)
+    assert cfg.points[2, 1] == 0.0 and cfg.global_phase == 0.0
+    poles = MajoranaConfig(2, [[-1e-300, 2.0], [3 * np.pi, 2.0]])
+    np.testing.assert_array_equal(poles.points, [[0.0, 0.0], [np.pi, 0.0]])
 
 
 def test_json_schema_errors_carry_paths():
