@@ -235,6 +235,24 @@ def test_exit_code_domain_error(capsys):
     assert "k" in err or "error" in err
 
 
+def test_points_that_miss_the_state_are_refused(capsys, tmp_path, monkeypatch):
+    # roots moved by 1e-3 no longer reproduce the state: to_majorana raises
+    # rather than return them, and `convert` exits 1
+    import majorana._roots
+    from majorana.catalog import gen_dihedral
+
+    companion = majorana._roots._companion_eigenvalues
+    monkeypatch.setattr(majorana._roots, "_companion_eigenvalues",
+                        lambda coeffs: companion(coeffs) + 1e-3)
+    state = gen_dihedral(7, 2)
+    with pytest.raises(RuntimeError, match="1 - F"):
+        majorana.to_majorana(state)
+    path = tmp_path / "state.json"
+    path.write_text(majorana.to_json_text(state))
+    code, out, err = run(capsys, "convert", "--to", "majorana", "-i", str(path))
+    assert code == 1 and out == "" and "1 - F" in err
+
+
 def test_exit_code_schema_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

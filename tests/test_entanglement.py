@@ -155,6 +155,33 @@ def test_dihedral_family_past_the_inventory():
             assert abs(result.lam - grid_oracle(state, 300).lam) <= 1e-8, (n, p)
 
 
+def test_rotated_states_keep_their_lambda():
+    # a rotation changes no overlap, so a rotated state's Lambda is the
+    # unrotated one; its roots must reproduce the state for the ascent to
+    # find it
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in range(15, 31):
+        for p in range(n // 2):
+            turns = [random_rotation(rng) for _ in range(3)]
+            if (n, p) == (30, 14):
+                cases += [(n, p, turn) for turn in turns]
+            elif n >= 25:
+                cases.append((n, p, turns[0]))
+    assert len(cases) == 83
+    for n, p, turn in cases:
+        state = gen_dihedral(n, p)
+        result = geometric_measure(rotate_state(state, turn))
+        assert result.converged, (n, p)
+        assert abs(result.lam - geometric_measure(state).lam) <= 1e-12, (n, p)
+    rng = np.random.default_rng(8)
+    for n in range(3, 11):
+        for k in range(1, n):
+            result = geometric_measure(rotate_state(gen_dicke(n, k), random_rotation(rng)))
+            assert result.converged, (n, k)
+            assert abs(result.lam - dicke_lambda(n, k)) <= 1e-12, (n, k)
+
+
 def test_ascent_stays_inside_its_sweep_cap():
     # the inventory's dihedral states and seeds 2 and 15 at n = 20 have
     # ill-conditioned valleys where a fixed-step gradient ascent zig-zags

@@ -212,16 +212,33 @@ def test_rotate_state_preserves_fidelity_structure():
     assert state_fidelity(back, state) > 1.0 - 1e-12
 
 
+def _cluster_config(rng, n: int, k: int) -> MajoranaConfig:
+    """A k-fold point plus n - k further random points."""
+    points = np.column_stack([np.arccos(rng.uniform(-1, 1, n - k + 1)),
+                              rng.uniform(0, 2 * np.pi, n - k + 1)])
+    return MajoranaConfig(n, np.vstack([np.repeat(points[:1], k, axis=0), points[1:]]))
+
+
 def test_rotate_state_is_exact_on_large_clusters():
     # a 46-fold cluster is smeared by any root finder, so a rotation that
     # went through the roots would lose fidelity; the spin-n/2 action does not
     rng = np.random.default_rng(46)
     for _ in range(10):
-        points = np.column_stack([np.arccos(rng.uniform(-1, 1, 8)), rng.uniform(0, 2 * np.pi, 8)])
-        config = MajoranaConfig(53, np.vstack([np.repeat(points[:1], 46, axis=0), points[1:]]))
+        config = _cluster_config(rng, 53, 46)
         rot = random_rotation(rng)
         expected = to_dicke(rotate(config, rot))
         assert state_fidelity(rotate_state(to_dicke(config), rot), expected) >= 1.0 - 1e-12
+
+
+def test_clusters_round_trip_to_full_fidelity():
+    # a k-fold point makes the polynomial flat near it, so its roots are
+    # smeared by about eps^(1/k); unpolished companion eigenvalues still
+    # reproduce the state
+    rng = np.random.default_rng(10)
+    for n, k, count in [(8, 4, 20), (10, 6, 20), (12, 8, 20), (53, 46, 10)]:
+        for _ in range(count):
+            state = to_dicke(_cluster_config(rng, n, k))
+            assert state_fidelity(state, to_dicke(to_majorana(state))) >= 1.0 - 1e-12, k
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
@@ -273,6 +290,20 @@ def test_coherent_matrix_matches_power_formula():
         rows = coherent_matrix(n, angles_to_unit(theta, phi))
         np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-13)
         np.testing.assert_array_equal(coherent_amplitudes(n, theta[7], phi[7]), rows[7])
+
+
+def test_coherent_amplitudes_is_the_spinor_row():
+    # canonical angles go straight to the spinor kernel, with no unit-vector
+    # round trip to move them by an ulp
+    from majorana.symstate import _binomial_rows, _spinors
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        n, theta, phi = int(rng.integers(1, 65)), rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
+        np.testing.assert_array_equal(coherent_amplitudes(n, theta, phi),
+                                      _binomial_rows(*_spinors(theta, phi), n)[0])
+    # theta outside [0, pi] is wrapped as the canonical point form wraps it
+    np.testing.assert_allclose(coherent_amplitudes(6, -0.3, 1.0),
+                               coherent_amplitudes(6, 0.3, 1.0 + np.pi), rtol=0, atol=1e-15)
 
 
 def test_coherent_rows_are_exact_at_the_poles():

@@ -106,11 +106,11 @@ def test_group_average_axial_is_dephasing():
     # about a tilted axis a, the average commutes with a.J
     rng = np.random.default_rng(6)
     for state in (gen_dicke(5, 2), gen_dicke(4, 2)):
-        # the point route: the Wigner route smears D(5,2)'s triple cluster
-        # past the detection tolerance after the second root finding
+        # the round trip smears D(5,2)'s triple point by about eps^(1/3), so
+        # detection takes the looser tolerance for round-tripped clusters
         tilted = to_dicke(rotate(to_majorana(state), random_rotation(rng)))
         ent = geometric_measure(tilted)
-        report = detect_group(to_majorana(tilted))
+        report = detect_group(to_majorana(tilted), tol=1e-4)
         omega, _ = group_average((ent.theta, ent.phi), report, state.n)
         along = np.einsum("i,ijk->jk", report.axis, np.stack(spin_matrices(state.n)))
         np.testing.assert_allclose(omega.matrix @ along, along @ omega.matrix, atol=1e-10)
