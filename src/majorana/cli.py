@@ -273,7 +273,8 @@ def _add_tol(parser):
 def _add_optimizer(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--starts", type=int, default=None,
-                        help="multi-start count (default max(32, n^2))")
+                        help="multi-start count (default max(32, n^2)); product and axial "
+                             "states run no ascent and ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,7 +33,16 @@ gradient tolerance, and the best polished one is returned; among winners
 within 4 eps of the best value, the one with the smallest gradient.  For
 n >= 3 the closest product states are the global maximizers, so a few
 distinct ascent winners suffice; a product state, one exact n-fold point
-from `to_majorana`, needs no ascent (Lambda = 1).  Lambda is always
+from `to_majorana`, needs no ascent (Lambda = 1).
+
+Nor does an axial state, whose points all lie on one axis +-a with m of
+them on +a (the SO(2) and O(2) class of the Dicke states).  There F
+depends only on c = u.a, and log F = m log(1 + c) + (n - m) log(1 - c) +
+const is strictly concave, so the maximum is the whole cone
+c = (2m - n)/n, where Lambda is Wei and Goldbart's closed form for Dicke
+states (PRA 68, 042307, 2003).  The one cone point along the `_frames`
+tangent at a is polished like an ascent winner, and the result reports
+no starts and no sweeps.  Lambda is always
 evaluated through the amplitude form (numerically exact) with one
 coherent-state kernel, `symstate.coherent_matrix`.  `grid_oracle` is the
 independent check: a separable theta x phi evaluation on an equal-area
@@ -97,6 +106,10 @@ _POLISH_GRADIENT_TOL = 1e-10
 # Polished winners within this of the best value tie (on D22(26,2)'s ring three
 # agree to 4.4e-16, with gradients 7e-11 to 2.6e-8); the flattest wins.
 _VALUE_TIE = 4.0 * np.finfo(float).eps
+# A configuration is axial when every point lies within this chord of +-a, a
+# its first point: the pole snap makes polar points exact, and a true k-fold
+# cluster from root finding is smeared far beyond it (about eps^(1/k)).
+_AXIAL_CHORD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -127,7 +140,8 @@ class EntanglementResult:
     """Lambda, E_G = -log2 Lambda and the maximizing direction.
 
     `starts_used` counts ascent starts (grid cells for `grid_oracle`),
-    `iterations` the ascent sweeps run (0 when no ascent ran), and
+    `iterations` the ascent sweeps run (both 0 for product and axial
+    states, which take their maximum without an ascent), and
     `max_gradient_norm` is the final polish's gradient norm, which
     `converged` compares with the polish tolerance.  `config` is the
     state's configuration, for callers that need it again.
@@ -348,6 +362,17 @@ def geometric_measure(state: SymmetricState,
     if np.all(config.points == config.points[0]):  # a product state
         return _make_result(1.0, config.points[0], 0, True, 0.0, 0, config)
     mp_units = config.unit_vectors()
+    axis = mp_units[0]
+    north = np.linalg.norm(mp_units - axis, axis=1) <= _AXIAL_CHORD
+    if np.all(north | (np.linalg.norm(mp_units + axis, axis=1) <= _AXIAL_CHORD)):
+        # every point on the axis: log F is concave in c = u.axis, with its
+        # maximum on the cone c = (2m - n)/n; polish one point of it
+        c = (2.0 * np.count_nonzero(north) - state.n) / state.n
+        e1, _ = _frames(axis[None, :])
+        cone = c * axis + math.sqrt(1.0 - c * c) * e1[0]
+        best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, cone[None, :])
+        return _make_result(best_value, unit_to_angles(best_u), 0,
+                            best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0, config)
     starts = _start_points(mp_units, state.n, cfg)
     units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL, _MAX_SWEEPS)
     winners = _distinct_winners(units, _overlap_sq(state.amps, units))

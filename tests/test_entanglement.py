@@ -46,13 +46,29 @@ def test_ghz_half():
 
 
 def test_dicke_closed_form():
-    for n in range(2, 8):
+    # every point of S(n,k) lies on the z axis, so the maximum is the cone
+    # cos(theta) = 1 - 2k/n and no ascent runs
+    for n in range(2, 65):
         for k in range(1, n):
             result = geometric_measure(gen_dicke(n, k))
             assert result.converged, (n, k)
-            assert abs(result.lam - dicke_lambda(n, k)) < 1e-10, (n, k)
-            # maximizer latitude satisfies cos(theta) = 1 - 2k/n
-            assert abs(math.cos(result.theta) - (1 - 2 * k / n)) < 1e-6, (n, k)
+            assert (result.starts_used, result.iterations) == (0, 0), (n, k)
+            expected = dicke_lambda(n, k)
+            assert abs(result.lam - expected) <= 1e-13 * expected, (n, k)
+            assert abs(math.cos(result.theta) - (1 - 2 * k / n)) <= 1e-12, (n, k)
+
+
+def test_axial_shortcut_is_exact_axis_only():
+    # one north point of S(8,3) tilted by 1e-6 rad leaves the axis: the
+    # ascent runs and still finds the maximum
+    assert geometric_measure(gen_dicke(8, 3)).starts_used == 0
+    points = to_majorana(gen_dicke(8, 3)).points.copy()
+    points[np.flatnonzero(points[:, 0] == 0.0)[0], 0] = 1e-6
+    state = to_dicke(MajoranaConfig(8, points))
+    result = geometric_measure(state)
+    assert result.starts_used == 72
+    assert result.converged
+    assert abs(result.lam - grid_oracle(state, 300).lam) < 1e-8
 
 
 def test_w4_value():
@@ -328,10 +344,11 @@ def test_start_on_an_antipode_is_nudged_off_it():
 def test_inventory_sweep_budget():
     # a start near a zero of F only doubles its distance from it per sweep;
     # with antipode starts the inventory took 2 368 sweeps, with every start
-    # sweeping to the end 1 528, and with successive halving 750
+    # sweeping to the end 1 528, with successive halving 750 (756 later), and
+    # with the axial (Dicke) states taking the closed form 311
     states = [entry.state for n in range(3, 15) for entry in totally_invariant_states(n)]
     assert len(states) == 141
-    assert sum(geometric_measure(state).iterations for state in states) <= 860
+    assert sum(geometric_measure(state).iterations for state in states) <= 360
 
 
 def test_flat_ring_maximum_takes_few_sweeps():
