@@ -27,7 +27,6 @@ from .symstate import (
     wigner_rotation,
 )
 from .entanglement import (
-    OptimizerConfig,
     EntanglementResult,
     geometric_measure,
     grid_oracle,
@@ -67,7 +66,6 @@ __all__ = [
     "to_json_text",
     "parse_json_text",
     "wigner_rotation",
-    "OptimizerConfig",
     "EntanglementResult",
     "geometric_measure",
     "grid_oracle",

@@ -17,7 +17,7 @@ import os
 import sys
 
 from .catalog import SOLIDS, gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
-from .entanglement import OptimizerConfig, geometric_measure, grid_oracle
+from .entanglement import geometric_measure, grid_oracle
 from .slocc import slocc_distinguish, four_qubit_table
 from .symmetry import detect_group
 from .symstate import (
@@ -86,11 +86,6 @@ def _tolerance(args) -> float:
     return value
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(num_starts=getattr(args, "starts", None),
-                           seed=getattr(args, "seed", 0))
-
-
 def _cmd_gen(args) -> int:
     if args.family == "dicke":
         state = gen_dicke(args.n, args.k)
@@ -117,7 +112,7 @@ def _cmd_entangle(args) -> int:
     if args.oracle:
         result = grid_oracle(state, args.resolution)
     else:
-        result = geometric_measure(state, _optimizer_config(args))
+        result = geometric_measure(state, args.starts)
     _write_json(args.output, {"lambda": result.lam, "eg_bits": result.eg,
                               "theta": result.theta, "phi": result.phi,
                               "converged": result.converged,
@@ -148,7 +143,7 @@ def _cmd_symmetry(args) -> int:
 def _cmd_slocc(args) -> int:
     state_a = _load_state(args.first)
     state_b = _load_state(args.second)
-    verdict = slocc_distinguish(state_a, state_b, _optimizer_config(args), _tolerance(args))
+    verdict = slocc_distinguish(state_a, state_b, args.starts, _tolerance(args))
     sig_a, sig_b = verdict.signatures
     _write_json(args.output, {
         "result": verdict.result,
@@ -160,7 +155,7 @@ def _cmd_slocc(args) -> int:
 
 
 def _cmd_table4(args) -> int:
-    rows, verdicts = four_qubit_table(_optimizer_config(args))
+    rows, verdicts = four_qubit_table(args.starts)
     _write_json(args.output, {
         "rows": [{"name": r.name, "group": r.group,
                   "signature": list(r.signature.multiplicities),
@@ -174,7 +169,7 @@ def _cmd_table4(args) -> int:
 
 def _cmd_twirl(args) -> int:
     state = _load_state(args.input)
-    ent = geometric_measure(state, _optimizer_config(args))
+    ent = geometric_measure(state, args.starts)
     report = detect_group(ent.config, _tolerance(args))
     certificate = certify_equivalence(
         state, ent, report,
@@ -247,7 +242,7 @@ def _cmd_plot(args) -> int:
     config = _load_config(args.input)
     maximizer = None
     if args.with_maximizer:
-        ent = geometric_measure(to_dicke(config), _optimizer_config(args))
+        ent = geometric_measure(to_dicke(config), args.starts)
         maximizer = (ent.theta, ent.phi)
     rows = plot_rows(config, maximizer, _tolerance(args))
     _write_text(args.output, write_csv(rows))
@@ -271,7 +266,6 @@ def _add_tol(parser):
 
 
 def _add_optimizer(parser):
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--starts", type=int, default=None,
                         help="multi-start count (default max(32, n^2)); product and axial "
                              "states run no ascent and ignore it")

@@ -9,7 +9,7 @@ c_i = u.v_i and a_i the chart components of v_i.  One product
 
 `geometric_measure` runs one batched saddle-free Newton ascent (Dauphin et
 al., NeurIPS 2014) from every start at once: a Fibonacci lattice of
-max(32, n^2) points plus 8 seeded random extras.  No start is placed on
+max(32, n^2) points, a function of n alone.  No start is placed on
 the antipode of a configuration point: F vanishes there, and near a zero
 the Newton step is about as long as the distance to it, so such a start
 only doubles that distance per sweep and would set the sweep count.  Nor
@@ -60,6 +60,7 @@ from .symstate import (
     SymmetricState,
     Rotation,
     _binomial_rows,
+    _check_angles,
     _spinors,
     angles_to_unit,
     coherent_matrix,
@@ -110,29 +111,12 @@ _VALUE_TIE = 4.0 * np.finfo(float).eps
 # its first point: the pole snap makes polar points exact, and a true k-fold
 # cluster from root finding is smeared far beyond it (about eps^(1/k)).
 _AXIAL_CHORD = 1e-12
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Starts for `geometric_measure`: how many, and the seed of the extras.
-
-    `num_starts=None` resolves to max(32, n^2) for the state at hand.  The
-    ascent halves its active starts after every sweep, keeping the better
-    half and at least _POLISH_COUNT, and runs at most _MAX_SWEEPS sweeps,
-    stopping on its own once every start has dropped out; the result's
-    `iterations` counts those ascent sweeps.  The polish of the winners
-    must reach _POLISH_GRADIENT_TOL for `converged`.
-    """
-
-    num_starts: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_starts is not None and self.num_starts < 1:
-            raise ValueError("num_starts must be positive")
-
-    def resolve_starts(self, n: int) -> int:
-        return self.num_starts if self.num_starts is not None else max(32, n * n)
+# A start within _ANTIPODE_P of an antipode is turned off it by this fixed
+# 1e-3 rad rotation about a generic axis: at the antipode itself the
+# `_chart_terms` weights 1/(2 p_i) reach 5e149.
+_ANTIPODE_P = 1e-9
+_ANTIPODE_NUDGE = Rotation([0.7696741376445092, 0.0800898974604638, -0.6333935034131261],
+                           1e-3)
 
 
 @dataclass(frozen=True)
@@ -241,13 +225,18 @@ def _saddle_free_step(gradient: np.ndarray, hessian, e1: np.ndarray,
 
 
 def log_overlap_sq_gradient(state: SymmetricState, theta: float, phi: float) -> np.ndarray:
-    """Tangent-plane gradient of log |<product|psi>|^2 at one direction."""
+    """Tangent-plane gradient of log |<product|psi>|^2 at one direction;
+    raises ValueError unless both angles are finite."""
+    _check_angles(theta, phi)
     u = angles_to_unit(theta, phi)[None, :]
     _, gradient, _, e1, e2 = _chart_terms(u, to_majorana(state).unit_vectors())
     return gradient[0, 0] * e1[0] + gradient[0, 1] * e2[0]
 
 
 def log_overlap_sq(state: SymmetricState, theta: float, phi: float) -> float:
+    """log |<product|psi>|^2 at one direction; raises ValueError unless both
+    angles are finite."""
+    _check_angles(theta, phi)
     value = _overlap_sq(state.amps, angles_to_unit(theta, phi)[None, :])[0]
     return float(np.log(np.maximum(value, _VALUE_FLOOR)))
 
@@ -332,32 +321,32 @@ def _best_refined(amps: np.ndarray, mp_units: np.ndarray,
     return units[best], float(values[best]), float(gnorms[best])
 
 
-def _start_points(config_units: np.ndarray, n: int, cfg: OptimizerConfig) -> np.ndarray:
-    """The Fibonacci lattice of `cfg.resolve_starts(n)` points plus 8 seeded
-    random extras.  No start goes on an antipode of a configuration point:
-    F vanishes there, and a start near a zero only doubles its distance
-    from it per sweep."""
-    lattice = fibonacci_sphere(cfg.resolve_starts(n))
-    rng = np.random.default_rng(cfg.seed)
-    extras = rng.standard_normal((8, 3))
-    extras /= np.linalg.norm(extras, axis=1)[:, None]
-    starts = np.vstack([lattice, extras])
-    # A start exactly opposite a configuration point sits on a log-pole of
-    # the objective; nudge such starts by a small deterministic rotation.
-    p = 0.5 * (1.0 + starts @ config_units.T)
-    bad = p.min(axis=1) <= 1e-9
+def _start_points(config_units: np.ndarray, count: int) -> np.ndarray:
+    """The Fibonacci lattice of `count` points.  No start goes on an
+    antipode of a configuration point: F vanishes there, and a start near a
+    zero only doubles its distance from it per sweep."""
+    starts = fibonacci_sphere(count)
+    bad = (0.5 * (1.0 + starts @ config_units.T)).min(axis=1) <= _ANTIPODE_P
     if bad.any():
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        starts[bad] = Rotation(axis, 1e-3).apply(starts[bad])
+        starts[bad] = _ANTIPODE_NUDGE.apply(starts[bad])
         starts[bad] /= np.linalg.norm(starts[bad], axis=1)[:, None]
     return starts
 
 
-def geometric_measure(state: SymmetricState,
-                      cfg: OptimizerConfig | None = None) -> EntanglementResult:
-    """Best product overlap Lambda and its direction for one state."""
-    cfg = OptimizerConfig() if cfg is None else cfg
+def geometric_measure(state: SymmetricState, num_starts: int | None = None) -> EntanglementResult:
+    """Best product overlap Lambda and its direction for one state.
+
+    The ascent starts from a Fibonacci lattice of `num_starts` points,
+    max(32, n^2) when None; product and axial states run no ascent.  It
+    halves its active starts after every sweep, keeping the better half and
+    at least _POLISH_COUNT, and runs at most _MAX_SWEEPS sweeps, stopping on
+    its own once every start has dropped out; the result's `iterations`
+    counts those ascent sweeps.  The polish of the winners must reach
+    _POLISH_GRADIENT_TOL for `converged`.  Raises ValueError when
+    `num_starts` is below 1.
+    """
+    if num_starts is not None and num_starts < 1:
+        raise ValueError(f"num_starts must be positive, got {num_starts!r}")
     config = to_majorana(state)
     if np.all(config.points == config.points[0]):  # a product state
         return _make_result(1.0, config.points[0], 0, True, 0.0, 0, config)
@@ -373,7 +362,8 @@ def geometric_measure(state: SymmetricState,
         best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, cone[None, :])
         return _make_result(best_value, unit_to_angles(best_u), 0,
                             best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0, config)
-    starts = _start_points(mp_units, state.n, cfg)
+    count = max(32, state.n * state.n) if num_starts is None else num_starts
+    starts = _start_points(mp_units, count)
     units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL, _MAX_SWEEPS)
     winners = _distinct_winners(units, _overlap_sq(state.amps, units))
     best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, units[winners])

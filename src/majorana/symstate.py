@@ -52,9 +52,8 @@ _PRODUCT_RESIDUAL = 1e-13
 
 # Bound on 1 - |<product(points)|psi>|^2 for every `to_majorana` result.  The
 # worst round trips of the unpolished companion roots measured are 1.4e-9 and
-# 1.6e-9, on n = 64 states with a 2- and a 4-fold cluster; Aberth-polished
-# roots read 1e-9 there too.  Acceptance criterion 1 keeps its own 1e-9 bound
-# for n <= 20.
+# 1.6e-9, on n = 64 states with a 2- and a 4-fold cluster.  Acceptance
+# criterion 1 keeps its own 1e-9 bound for n <= 20.
 _ROUND_TRIP_TOL = 1e-8
 
 
@@ -418,9 +417,18 @@ def coherent_matrix(n: int, units) -> np.ndarray:
     return _binomial_rows(*_spinors(theta, phi), n)
 
 
+def _check_angles(theta: float, phi: float) -> None:
+    """Raise ValueError unless both angles of one direction are finite."""
+    for name, value in (("theta", theta), ("phi", phi)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:
     """Dicke amplitudes of the n-fold product of one qubit along (theta, phi);
-    theta is taken mod 2*pi, and above pi read as 2*pi - theta at phi + pi."""
+    theta is taken mod 2*pi, and above pi read as 2*pi - theta at phi + pi.
+    Raises ValueError unless both angles are finite."""
+    _check_angles(theta, phi)
     theta = float(theta) % TWO_PI
     if theta > math.pi:
         theta, phi = TWO_PI - theta, phi + math.pi

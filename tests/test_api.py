@@ -1,10 +1,10 @@
-"""The public API: the exported names, the optimizer's settable fields, and
-the imports of the benchmark workloads."""
-import dataclasses
+"""The public API: the exported names, the geometric measure's parameters,
+and the imports of the benchmark workloads."""
+import inspect
 from pathlib import Path
 
 import majorana
-from majorana import OptimizerConfig
+from majorana import geometric_measure
 
 PUBLIC = {
     # symstate
@@ -13,7 +13,7 @@ PUBLIC = {
     "config_close", "random_symmetric_state", "to_json_dict", "to_json_text",
     "parse_json_text", "wigner_rotation",
     # entanglement
-    "OptimizerConfig", "EntanglementResult", "geometric_measure", "grid_oracle",
+    "EntanglementResult", "geometric_measure", "grid_oracle",
     "log_overlap_sq", "log_overlap_sq_gradient",
     # symmetry
     "SymmetryReport", "detect_group", "contains_dihedral",
@@ -28,11 +28,11 @@ PUBLIC = {
 
 
 def test_public_names_and_optimizer_fields():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
     assert sorted(majorana.__all__) == sorted(PUBLIC)
     for name in majorana.__all__:
         assert getattr(majorana, name) is not None, name
-    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["num_starts", "seed"]
+    assert list(inspect.signature(geometric_measure).parameters) == ["state", "num_starts"]
 
 
 def test_benchmark_workloads_import(monkeypatch):

@@ -293,6 +293,9 @@ def test_cli_import_leaves_scipy_out():
 def test_exit_code_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "gen", "dicke", "--n", "4")[0] == 2
+    # the start set has no seed to set
+    code, _, err = run(capsys, "entangle", "--seed", "1")
+    assert code == 2 and "unrecognized arguments: --seed" in err
 
 
 def test_tol_environment_override(capsys, tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ import pytest
 
 from majorana import (
     MajoranaConfig,
-    OptimizerConfig,
     coherent_amplitudes,
     detect_group,
     geometric_measure,
@@ -66,7 +65,7 @@ def test_axial_shortcut_is_exact_axis_only():
     points[np.flatnonzero(points[:, 0] == 0.0)[0], 0] = 1e-6
     state = to_dicke(MajoranaConfig(8, points))
     result = geometric_measure(state)
-    assert result.starts_used == 72
+    assert result.starts_used == 64
     assert result.converged
     assert abs(result.lam - grid_oracle(state, 300).lam) < 1e-8
 
@@ -204,9 +203,11 @@ def test_ascent_stays_inside_its_sweep_cap():
     states = [entry.state for n in range(3, 15) for entry in totally_invariant_states(n)]
     assert len(states) == 141
     states += [random_symmetric_state(20, np.random.default_rng(s)) for s in range(30)]
-    cfg = OptimizerConfig()
+    # one random state at each n = 21..64, where the lattice alone has to
+    # find the maximum
+    states += [random_symmetric_state(n, np.random.default_rng(n)) for n in range(21, 65)]
     for i, state in enumerate(states):
-        result = geometric_measure(state, cfg)
+        result = geometric_measure(state)
         assert result.converged, i
         assert result.iterations < _MAX_SWEEPS, i
         assert abs(result.lam - grid_oracle(state, 300).lam) <= 1e-8, i
@@ -238,9 +239,9 @@ def test_grid_oracle_rejects_tiny_resolution():
         grid_oracle(gen_ghz(3), resolution=7)
 
 
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(num_starts=0)
+def test_num_starts_must_be_positive():
+    with pytest.raises(ValueError, match="num_starts"):
+        geometric_measure(gen_ghz(4), 0)
 
 
 def test_fibonacci_sphere_spread():
@@ -295,16 +296,9 @@ def test_eg_invariance_check_vanishes():
     assert abs(geometric_measure(state).eg - geometric_measure(moved).eg) < 1e-9
 
 
-def test_seed_changes_starts_not_answer():
-    state = random_symmetric_state(7, np.random.default_rng(123))
-    a = geometric_measure(state, OptimizerConfig(seed=0))
-    b = geometric_measure(state, OptimizerConfig(seed=99))
-    assert abs(a.lam - b.lam) < 1e-10
-
-
 def test_result_reports_start_count():
     state = gen_ghz(4)
-    result = geometric_measure(state, OptimizerConfig(num_starts=40))
+    result = geometric_measure(state, num_starts=40)
     assert result.starts_used >= 40
 
 
@@ -316,12 +310,18 @@ def test_near_coincident_cluster_counts_as_product():
     assert result.lam == 1.0
 
 
-def test_start_set_is_lattice_plus_extras():
-    # no start sits on an antipode of a configuration point, where F vanishes
+def test_start_set_is_the_lattice():
+    # the starts are a function of n alone: the Fibonacci lattice, unchanged
+    # where no start sits on an antipode of a configuration point
     for state in (gen_ghz(4), gen_platonic("icosahedron"),
                   random_symmetric_state(20, np.random.default_rng(20))):
         result = geometric_measure(state)
-        assert result.starts_used == max(32, state.n ** 2) + 8, state.n
+        count = max(32, state.n ** 2)
+        assert result.starts_used == count, state.n
+        units = result.config.unit_vectors()
+        lattice = fibonacci_sphere(count)
+        assert (0.5 * (1.0 + lattice @ units.T)).min() > 1e-9, state.n
+        assert np.array_equal(_start_points(units, count), lattice), state.n
 
 
 def test_start_on_an_antipode_is_nudged_off_it():
@@ -334,7 +334,7 @@ def test_start_on_an_antipode_is_nudged_off_it():
     state = to_dicke(MajoranaConfig(4, np.column_stack([theta, phi])))
     units = to_majorana(state).unit_vectors()
     assert (0.5 * (1.0 + fibonacci_sphere(32) @ units.T)).min() <= 1e-9
-    starts = _start_points(units, 4, OptimizerConfig())
+    starts = _start_points(units, 32)
     assert (0.5 * (1.0 + starts @ units.T)).min() > 1e-9
     result = geometric_measure(state)
     assert result.converged

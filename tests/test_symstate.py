@@ -13,6 +13,9 @@ from majorana import (
     SymmetricState,
     coherent_amplitudes,
     config_close,
+    gen_dicke,
+    log_overlap_sq,
+    log_overlap_sq_gradient,
     parse_json_text,
     random_symmetric_state,
     rotate,
@@ -245,6 +248,18 @@ def test_clusters_round_trip_to_full_fidelity():
 def test_rotation_rejects_non_finite_angle(angle):
     with pytest.raises(ValueError, match="angle"):
         Rotation(np.array([0.0, 0.0, 1.0]), angle)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coherent_amplitudes(4, math.nan, 0.0),
+    lambda: coherent_amplitudes(4, 0.3, math.inf),
+    lambda: log_overlap_sq(gen_dicke(4, 1), math.nan, 0.0),
+    lambda: log_overlap_sq_gradient(gen_dicke(4, 1), 0.2, math.inf),
+], ids=["amplitudes-theta", "amplitudes-phi", "log-overlap-theta", "gradient-phi"])
+def test_non_finite_angles_are_refused(call):
+    # a NaN or infinite angle must not come back as a NaN answer
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
 
 
 def test_rotation_compose_inverse():
