@@ -55,8 +55,6 @@ def polynomial_roots(coeffs):
     d = effective_degree(c)
     num_infinite = len(c) - 1 - d
     scale = np.max(np.abs(c))
-    low = 0
-    while low < d and np.abs(c[low]) <= DEGREE_DROP_TOL * scale:
-        low += 1
+    low = int(np.argmax(np.abs(c[: d + 1]) > DEGREE_DROP_TOL * scale))
     finite = _companion_eigenvalues(c[low: d + 1])
     return np.concatenate([np.zeros(low, dtype=complex), finite]), num_infinite

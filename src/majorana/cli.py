@@ -267,8 +267,9 @@ def _add_tol(parser):
 
 def _add_optimizer(parser):
     parser.add_argument("--starts", type=int, default=None,
-                        help="multi-start count (default max(32, n^2)); product and axial "
-                             "states run no ascent and ignore it")
+                        help="multi-start count (default max(32, n^2)); product states and "
+                             "states non-negative up to a phase and a z-turn run no ascent "
+                             "and ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,14 +35,20 @@ n >= 3 the closest product states are the global maximizers, so a few
 distinct ascent winners suffice; a product state, one exact n-fold point
 from `to_majorana`, needs no ascent (Lambda = 1).
 
-Nor does an axial state, whose points all lie on one axis +-a with m of
-them on +a (the SO(2) and O(2) class of the Dicke states).  There F
-depends only on c = u.a, and log F = m log(1 + c) + (n - m) log(1 - c) +
-const is strictly concave, so the maximum is the whole cone
-c = (2m - n)/n, where Lambda is Wei and Goldbart's closed form for Dicke
-states (PRA 68, 042307, 2003).  The one cone point along the `_frames`
-tangent at a is polished like an ascent winner, and the result reports
-no starts and no sweeps.  Lambda is always
+Nor does a non-negative state, whose amplitudes are a_k = |a_k|
+e^(i(alpha + k beta)) for one global phase alpha and one turn beta about z
+(every Dicke, GHZ and dihedral state, T, the octahedron and the cube).
+There the triangle inequality puts the maximum on the meridian phi = beta
+(Huebener et al., PRA 80, 032324, 2009), where with t = tan(theta/2) the
+overlap is P(t)/(1 + t^2)^(n/2), P(t) = sum sqrt(C(n,k)) |a_k| t^k.  Its
+critical points are the real roots t >= 0 of one polynomial of degree at
+most n, and the best of them and the two poles is the maximum; on the
+Dicke states it is Wei and Goldbart's closed form (PRA 68, 042307, 2003).
+A state counts as non-negative when delta = ||psi - e^(i alpha) D_z(beta)
+|psi||| is at most 2.5e-15, which keeps Lambda within 1e-14 of the
+meridian value.  The result reports no starts and no sweeps, and the one
+point is polished like an ascent winner only if its gradient is above the
+polish tolerance.  Lambda is always
 evaluated through the amplitude form (numerically exact) with one
 coherent-state kernel, `symstate.coherent_matrix`.  `grid_oracle` is the
 independent check: a separable theta x phi evaluation on an equal-area
@@ -50,12 +56,15 @@ grid whose best cell, and the poles, are polished by the same routine.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._roots import polynomial_roots
 from .symstate import (
+    TWO_PI,
     MajoranaConfig,
     SymmetricState,
     Rotation,
@@ -63,6 +72,7 @@ from .symstate import (
     _check_angles,
     _spinors,
     angles_to_unit,
+    binomial_weights,
     coherent_matrix,
     to_majorana,
     unit_to_angles,
@@ -107,10 +117,13 @@ _POLISH_GRADIENT_TOL = 1e-10
 # Polished winners within this of the best value tie (on D22(26,2)'s ring three
 # agree to 4.4e-16, with gradients 7e-11 to 2.6e-8); the flattest wins.
 _VALUE_TIE = 4.0 * np.finfo(float).eps
-# A configuration is axial when every point lies within this chord of +-a, a
-# its first point: the pole snap makes polar points exact, and a true k-fold
-# cluster from root finding is smeared far beyond it (about eps^(1/k)).
-_AXIAL_CHORD = 1e-12
+# A state takes the meridian branch when delta = ||psi - psi_+||, psi_+ =
+# e^(i alpha) D_z(beta)|psi| and |psi| its amplitude moduli, satisfies
+# 4 delta <= _MERIDIAN_TOL.  The meridian maximum u of psi_+ is its global
+# one, and sqrt(Lambda) and the overlap at u each move by at most delta
+# between psi and psi_+, so sqrt(Lambda) - |<u|psi>| <= 2 delta and
+# Lambda - |<u|psi>|^2 <= 4 delta.  On the catalog delta is at most 2.7e-16.
+_MERIDIAN_TOL = 1e-14
 # A start within _ANTIPODE_P of an antipode is turned off it by this fixed
 # 1e-3 rad rotation about a generic axis: at the antipode itself the
 # `_chart_terms` weights 1/(2 p_i) reach 5e149.
@@ -124,8 +137,8 @@ class EntanglementResult:
     """Lambda, E_G = -log2 Lambda and the maximizing direction.
 
     `starts_used` counts ascent starts (grid cells for `grid_oracle`),
-    `iterations` the ascent sweeps run (both 0 for product and axial
-    states, which take their maximum without an ascent), and
+    `iterations` the ascent sweeps run (both 0 for product and
+    non-negative states, which take their maximum without an ascent), and
     `max_gradient_norm` is the final polish's gradient norm, which
     `converged` compares with the polish tolerance.  `config` is the
     state's configuration, for callers that need it again.
@@ -333,11 +346,57 @@ def _start_points(config_units: np.ndarray, count: int) -> np.ndarray:
     return starts
 
 
+def _meridian_turn(amps: np.ndarray) -> float | None:
+    """The z-turn beta that makes the amplitudes non-negative up to a global
+    phase alpha, or None.
+
+    a_k e^(-i(alpha + k beta)) >= 0 fixes beta from the phases of two
+    amplitudes k0 < k1, up to a multiple of 2 pi/(k1 - k0), and then alpha
+    from a_k0.  The two are the largest amplitudes, whose phases are the
+    best determined.  The candidate with the least delta is accepted when
+    4 delta <= _MERIDIAN_TOL.
+    """
+    moduli = np.abs(amps)
+    k0, k1 = sorted(np.argsort(-moduli, kind="stable")[:2].tolist())
+    phase0, phase1 = cmath.phase(amps[k0]), cmath.phase(amps[k1])
+    betas = (phase1 - phase0 + TWO_PI * np.arange(k1 - k0)) / (k1 - k0)
+    turned = moduli * np.exp(1j * (phase0 + np.outer(betas, np.arange(len(amps)) - k0)))
+    delta = np.linalg.norm(turned - amps, axis=1)
+    best = int(np.argmin(delta))
+    return float(betas[best]) if 4.0 * delta[best] <= _MERIDIAN_TOL else None
+
+
+def _meridian_candidates(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The critical points of the overlap on the meridian phi = beta, and
+    both poles, as polar angles with their overlaps |<product|psi>|^2 from
+    the `coherent_matrix` kernel.
+
+    With t = tan(theta/2) the meridian overlap is P(t)/(1 + t^2)^(n/2),
+    P(t) = sum sqrt(C(n,k)) |a_k| t^k, so its critical points are the roots
+    t >= 0 of P'(t)(1 + t^2) - n t P(t), a polynomial of degree at most n
+    (the t^(n+1) terms cancel).  Every root is taken at its real part when
+    that is positive (t = 0 is the north pole): a spurious root only adds a
+    point on the meridian, which cannot exceed the maximum.  The polynomial
+    vanishes when the overlap is constant on the meridian (GHZ2), and then
+    the poles suffice.
+    """
+    n = len(amps) - 1
+    p = binomial_weights(n) * np.abs(amps)
+    k = np.arange(1, n + 1)
+    q = np.zeros(n + 1)
+    q[:-1] = k * p[1:]
+    q[1:] -= (n + 1 - k) * p[:-1]
+    roots = polynomial_roots(q)[0].real if np.any(q) else np.empty(0)
+    theta = np.concatenate([[0.0, math.pi], 2.0 * np.arctan(roots[roots > 0.0])])
+    return theta, np.abs(_binomial_rows(*_spinors(theta, beta), n).conj() @ amps) ** 2
+
+
 def geometric_measure(state: SymmetricState, num_starts: int | None = None) -> EntanglementResult:
     """Best product overlap Lambda and its direction for one state.
 
     The ascent starts from a Fibonacci lattice of `num_starts` points,
-    max(32, n^2) when None; product and axial states run no ascent.  It
+    max(32, n^2) when None; product states and states non-negative up to a
+    phase and a z-turn (`_meridian_turn`) run no ascent.  The ascent
     halves its active starts after every sweep, keeping the better half and
     at least _POLISH_COUNT, and runs at most _MAX_SWEEPS sweeps, stopping on
     its own once every start has dropped out; the result's `iterations`
@@ -351,15 +410,19 @@ def geometric_measure(state: SymmetricState, num_starts: int | None = None) -> E
     if np.all(config.points == config.points[0]):  # a product state
         return _make_result(1.0, config.points[0], 0, True, 0.0, 0, config)
     mp_units = config.unit_vectors()
-    axis = mp_units[0]
-    north = np.linalg.norm(mp_units - axis, axis=1) <= _AXIAL_CHORD
-    if np.all(north | (np.linalg.norm(mp_units + axis, axis=1) <= _AXIAL_CHORD)):
-        # every point on the axis: log F is concave in c = u.axis, with its
-        # maximum on the cone c = (2m - n)/n; polish one point of it
-        c = (2.0 * np.count_nonzero(north) - state.n) / state.n
-        e1, _ = _frames(axis[None, :])
-        cone = c * axis + math.sqrt(1.0 - c * c) * e1[0]
-        best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, cone[None, :])
+    beta = _meridian_turn(state.amps)
+    if beta is not None:
+        theta, values = _meridian_candidates(state.amps, beta)
+        # ties, such as GHZ's two poles, go to the smallest gradient
+        tied = np.flatnonzero(values >= values.max() - _VALUE_TIE)
+        units = angles_to_unit(theta[tied], beta)
+        _, gradient, _, _, _ = _chart_terms(units, mp_units)
+        gnorms = np.linalg.norm(gradient, axis=1)
+        best = int(np.argmin(gnorms))
+        best_u, best_value, best_gnorm = units[best], values[tied[best]], gnorms[best]
+        if best_gnorm > _POLISH_GRADIENT_TOL:
+            best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units,
+                                                           best_u[None, :])
         return _make_result(best_value, unit_to_angles(best_u), 0,
                             best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0, config)
     count = max(32, state.n * state.n) if num_starts is None else num_starts

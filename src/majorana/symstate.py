@@ -20,7 +20,8 @@ the product expansion convolves one such factor per point, and
 `_binomial_rows` expands n equal ones into sqrt(C(n,k)) a^(n-k) b^k.
 
 Rotations move the points rigidly (`rotate`) and the amplitudes by the
-spin-n/2 unitary (`wigner_rotation`), so `rotate_state` finds no roots.
+spin-n/2 unitary (`wigner_rotation`, the one-rotation case of the batched
+`_wigner_stack`), so `rotate_state` finds no roots.
 
 Angles are radians throughout: theta is the polar angle in [0, pi]
 measured from +z, phi the azimuth in [0, 2*pi), wrapped there directly, so
@@ -281,25 +282,34 @@ def _jy_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _frame(n: int, axis: np.ndarray) -> np.ndarray:
-    """A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the angles of `axis`:
-    the action of a rotation carrying +z onto the axis.  Jz is diagonal and
-    Jy's eigenbasis gives the other factor, with no matrix exponential."""
+def _frame(n: int, axes) -> np.ndarray:
+    """A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the angles of each
+    axis: the action of a rotation carrying +z onto it.  Jz is diagonal and
+    Jy's eigenbasis gives the other factor, with no matrix exponential.
+    An axis of shape (3,) gives one frame, a stack (G, 3) a stack (G, n+1, n+1)."""
     if n > MAX_DEGREE:
         raise ValueError(f"qubit count {n} exceeds supported maximum {MAX_DEGREE}")
-    x, y, z = axis
-    theta, phi = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+    x, y, z = np.asarray(axes, dtype=float).T
+    theta, phi = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
     values, vectors = _jy_eigenbasis(n)
-    small_d = (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T
-    return np.exp(-1j * phi * (n / 2.0 - np.arange(n + 1)))[:, None] * small_d
+    small_d = (vectors * np.exp(-1j * theta[..., None, None] * values)) @ vectors.conj().T
+    return np.exp(-1j * phi[..., None, None] * (n / 2.0 - np.arange(n + 1))[:, None]) * small_d
+
+
+def _wigner_stack(n: int, rotations) -> np.ndarray:
+    """`wigner_rotation` of every rotation at once, shape (G, n+1, n+1):
+    one `_frame` over the stacked axes and batched matrix products."""
+    align = _frame(n, np.array([r.axis for r in rotations]))
+    angles = np.array([r.angle for r in rotations])
+    turn = np.exp(-1j * angles[:, None, None] * (n / 2.0 - np.arange(n + 1)))
+    return (align * turn) @ np.swapaxes(align.conj(), -1, -2)
 
 
 def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
     """Unitary action of a sphere rotation on the n-qubit symmetric subspace:
     exp(-i alpha a.J) = A exp(-i alpha Jz) A^dagger, with a the rotation's
-    axis and A = `_frame(n, a)`."""
-    align = _frame(n, r.axis)
-    return (align * np.exp(-1j * r.angle * (n / 2.0 - np.arange(n + 1)))) @ align.conj().T
+    axis and A = `_frame(n, a)`; the one-rotation case of `_wigner_stack`."""
+    return _wigner_stack(n, [r])[0]
 
 
 def _spinors(theta, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@ certificate.
 
 Everything lives in the (n+1)-dimensional symmetric subspace: product
 states along a direction are the coherent vectors, rotations act through
-`symstate.wigner_rotation`, and averaging a maximizing product state
+their Wigner matrices, one (G, n+1, n+1) stack per group
+(`symstate._wigner_stack`), and averaging a maximizing product state
 over the detected symmetry group yields an invariant separable operator
 omega.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
 is a density matrix with no component on psi, then omega has the split that
@@ -30,7 +31,7 @@ import numpy as np
 
 from .entanglement import EntanglementResult
 from .symmetry import O2, SO2, SO3, TRIVIAL, SymmetryReport
-from .symstate import SymmetricState, _frame, coherent_amplitudes, wigner_rotation
+from .symstate import SymmetricState, _frame, _wigner_stack, coherent_amplitudes, wigner_rotation
 
 _HERMITIAN_TOL = 1e-12
 
@@ -119,7 +120,7 @@ def group_average(direction: tuple[float, float], group: SymmetryReport,
         return SymmetricOperator(n, omega), None
     if not group.elements:
         raise ValueError(f"group kind {group.kind!r} carries no element list")
-    mats = np.stack([wigner_rotation(n, element) for element in group.elements])
+    mats = _wigner_stack(n, group.elements)
     orbit = mats @ vec
     return SymmetricOperator(n, orbit.T @ orbit.conj() / len(mats)), mats
 

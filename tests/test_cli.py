@@ -49,10 +49,13 @@ def test_gen_convert_entangle_pipeline(capsys, tmp_path):
 
 
 def test_entangle_reports_ascent(capsys, tmp_path):
-    # the ascent stops on its own, well inside its sweep cap
+    # the ascent stops on its own, well inside its sweep cap, on a turned
+    # GHZ4 (GHZ4 itself is non-negative and takes its meridian maximum with
+    # no ascent) and on a random state
     cap = majorana.entanglement._MAX_SWEEPS
     ghz = tmp_path / "ghz.json"
-    run(capsys, "gen", "ghz", "--n", "4", "-o", str(ghz))
+    turn = majorana.Rotation([1.0, 2.0, 3.0], 0.7)
+    ghz.write_text(majorana.to_json_text(majorana.rotate_state(majorana.gen_ghz(4), turn)))
     random20 = tmp_path / "r20.json"
     state = majorana.random_symmetric_state(20, np.random.default_rng(0))
     random20.write_text(majorana.to_json_text(state))

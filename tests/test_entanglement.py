@@ -13,6 +13,7 @@ from majorana import (
     log_overlap_sq,
     log_overlap_sq_gradient,
     random_symmetric_state,
+    Rotation,
     rotate_state,
     SymmetricState,
     to_dicke,
@@ -44,9 +45,14 @@ def test_ghz_half():
         assert abs(result.eg - 1.0) < 1e-9
 
 
+# A generic turn: no state of the inventory is non-negative after it, so a
+# turned copy runs the ascent.
+GENERIC_TURN = Rotation([1.0, 2.0, 3.0], 0.7)
+
+
 def test_dicke_closed_form():
-    # every point of S(n,k) lies on the z axis, so the maximum is the cone
-    # cos(theta) = 1 - 2k/n and no ascent runs
+    # S(n,k) is non-negative, so the maximum comes off the meridian with no
+    # ascent, on Wei and Goldbart's cone cos(theta) = 1 - 2k/n
     for n in range(2, 65):
         for k in range(1, n):
             result = geometric_measure(gen_dicke(n, k))
@@ -57,12 +63,14 @@ def test_dicke_closed_form():
             assert abs(math.cos(result.theta) - (1 - 2 * k / n)) <= 1e-12, (n, k)
 
 
-def test_axial_shortcut_is_exact_axis_only():
-    # one north point of S(8,3) tilted by 1e-6 rad leaves the axis: the
-    # ascent runs and still finds the maximum
+def test_state_off_the_class_runs_the_ascent():
+    # two north points of S(8,3) tilted at different azimuths: the
+    # amplitudes are no longer non-negative up to a phase and a z-turn, so
+    # the ascent runs and still finds the maximum
     assert geometric_measure(gen_dicke(8, 3)).starts_used == 0
     points = to_majorana(gen_dicke(8, 3)).points.copy()
-    points[np.flatnonzero(points[:, 0] == 0.0)[0], 0] = 1e-6
+    north = np.flatnonzero(points[:, 0] == 0.0)
+    points[north[0]], points[north[1]] = [0.3, 0.0], [0.4, 1.0]
     state = to_dicke(MajoranaConfig(8, points))
     result = geometric_measure(state)
     assert result.starts_used == 64
@@ -297,7 +305,7 @@ def test_eg_invariance_check_vanishes():
 
 
 def test_result_reports_start_count():
-    state = gen_ghz(4)
+    state = rotate_state(gen_ghz(4), GENERIC_TURN)
     result = geometric_measure(state, num_starts=40)
     assert result.starts_used >= 40
 
@@ -313,7 +321,7 @@ def test_near_coincident_cluster_counts_as_product():
 def test_start_set_is_the_lattice():
     # the starts are a function of n alone: the Fibonacci lattice, unchanged
     # where no start sits on an antipode of a configuration point
-    for state in (gen_ghz(4), gen_platonic("icosahedron"),
+    for state in (rotate_state(gen_ghz(4), GENERIC_TURN), gen_platonic("icosahedron"),
                   random_symmetric_state(20, np.random.default_rng(20))):
         result = geometric_measure(state)
         count = max(32, state.n ** 2)
@@ -345,17 +353,21 @@ def test_inventory_sweep_budget():
     # a start near a zero of F only doubles its distance from it per sweep;
     # with antipode starts the inventory took 2 368 sweeps, with every start
     # sweeping to the end 1 528, with successive halving 750 (756 later), and
-    # with the axial (Dicke) states taking the closed form 311
+    # with the axial (Dicke) states taking the closed form 311, and with every
+    # non-negative state taking its meridian maximum 7 (the icosahedron's)
     states = [entry.state for n in range(3, 15) for entry in totally_invariant_states(n)]
     assert len(states) == 141
-    assert sum(geometric_measure(state).iterations for state in states) <= 360
+    assert sum(geometric_measure(state).iterations for state in states) <= 20
 
 
 def test_flat_ring_maximum_takes_few_sweeps():
     # the maximum of D12(14,1) lies on a nearly flat ring (chart Hessian
     # eigenvalues -14.0 and -2.2e-4); starts crawling along it far below the
-    # best must not hold up the ascent (62 sweeps without halving, 9 with)
-    result = geometric_measure(gen_dihedral(14, 1))
+    # best must not hold up the ascent (62 sweeps without halving, 9 with).
+    # The ring itself takes its meridian maximum, so a turned copy, 13
+    # sweeps, keeps the ascent on it.
+    result = geometric_measure(rotate_state(gen_dihedral(14, 1), GENERIC_TURN))
+    assert result.starts_used > 0
     assert result.converged
     assert result.iterations <= 20
 
@@ -370,3 +382,65 @@ def test_result_carries_its_configuration():
     points = product.config.points
     assert np.array_equal(points, np.tile(points[0], (3, 1)))
     np.testing.assert_allclose(points[0], [0.4, 0.2], rtol=0, atol=1e-14)
+
+
+def test_non_negative_states_take_the_meridian():
+    # every non-axial inventory state n = 3..14 but the icosahedron is
+    # non-negative: its maximum comes off one meridian with no ascent and
+    # equals the ascent's on a turned copy
+    states = [(entry.name, entry.state) for n in range(3, 15)
+              for entry in totally_invariant_states(n)
+              if not entry.name.startswith("S(") and entry.name != "icosahedron"]
+    assert len(states) == 50 and "cube" in dict(states)
+    for name, state in states:
+        result = geometric_measure(state)
+        assert (result.starts_used, result.iterations) == (0, 0), name
+        assert result.converged, name
+        turned = geometric_measure(rotate_state(state, GENERIC_TURN))
+        assert turned.starts_used > 0, name
+        assert abs(result.lam - turned.lam) <= 1e-13, name
+
+
+def _phase_and_z_turn(state):
+    return SymmetricState(state.n, np.exp(0.4j) * rotate_state(
+        state, Rotation([0.0, 0.0, 1.0], 0.9)).amps)
+
+
+def test_meridian_class_up_to_phase_and_z_turn():
+    # a global phase and a turn about z keep a state in the class; a 1e-6
+    # kick to one phase of the cube takes it out, and the ascent runs (the
+    # cube has three amplitudes a_0, a_4, a_8, so no one turn absorbs the
+    # kick, as it would on a two-amplitude ring)
+    for state in (gen_dihedral(9, 2), gen_platonic("cube")):
+        result = geometric_measure(_phase_and_z_turn(state))
+        assert (result.starts_used, result.iterations) == (0, 0), state.n
+        assert result.converged, state.n
+        assert abs(result.lam - geometric_measure(state).lam) <= 1e-13, state.n
+    amps = _phase_and_z_turn(gen_platonic("cube")).amps.copy()
+    amps[8] *= np.exp(1e-6j)
+    kicked = SymmetricState(8, amps)
+    result = geometric_measure(kicked)
+    assert result.starts_used == 64
+    assert result.converged
+    assert abs(result.lam - grid_oracle(kicked, 300).lam) <= 1e-8
+
+
+def test_meridian_returns_the_higher_of_two_maxima():
+    # a_2 and a_10 of n = 12 plant two interior maxima on the meridian, at
+    # theta near 0.84 and 2.30; the higher one wins, in either hemisphere
+    theta = np.linspace(0.0, math.pi, 4001)
+    for heights in ((1.0, 0.9), (0.9, 1.0)):
+        amps = np.zeros(13)
+        amps[2], amps[10] = heights
+        state = SymmetricState(12, amps)
+        scan = np.array([abs(np.vdot(coherent_amplitudes(12, t, 0.0), state.amps)) ** 2
+                         for t in theta])
+        peaks = np.flatnonzero((scan[1:-1] > scan[:-2]) & (scan[1:-1] >= scan[2:])) + 1
+        assert len(peaks) == 2 and abs(scan[peaks[0]] - scan[peaks[1]]) > 0.01
+        top = peaks[np.argmax(scan[peaks])]
+        result = geometric_measure(state)
+        assert (result.starts_used, result.iterations) == (0, 0)
+        assert result.converged
+        assert abs(result.theta - theta[top]) < 1e-3
+        assert 0.0 <= result.lam - scan[top] <= 1e-6
+        assert abs(result.lam - grid_oracle(state, 300).lam) <= 1e-8
