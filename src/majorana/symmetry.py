@@ -11,17 +11,21 @@ pair of sites with the same multiplicities and the same angle, and each
 rotation so built is kept when it maps every site onto a site of equal
 multiplicity, one to one.  No axis is guessed and no group is closed, so
 axes that no site or pair of sites spans (the three-fold axes of a
-generic tetrahedral orbit, say) are found like any other.  A census bins
-the listed rotations by axis line (the bin of the first rotation whose
-axis lies within the census threshold); the group and bin orders name the
-kind, and D_m also needs its turns to be powers of 2*pi/m.  The report
-decides `contains_dihedral`, so it cannot contradict the detected label.
+generic tetrahedral orbit, say) are found like any other.  The listing
+is a (G, 3, 3) stack, and it stays one: the census reads the axes and
+angles of the whole stack at once (`symstate._axis_angle`), sorts it into
+element order, and bins the axes by line (the bin of the first rotation
+whose axis lies within the census threshold); the group and bin orders
+name the kind, and D_m also needs its turns to be powers of 2*pi/m.  The
+report keeps the sorted stack, builds its `Rotation` elements from it,
+and decides `contains_dihedral`, so it cannot contradict the detected
+label.
 
 The report also carries the total-invariance verdict (`totally_invariant`,
 with a `witness` string), read off each site's stabiliser order: how many
-of the listed rotations fix the site.  Cyclic groups never qualify (rings
-can slide along the axis); axial groups qualify exactly when all points
-sit at the two poles.  D_m (m >= 3) qualifies when its order-2 sites are
+matrices of the report's stack fix the site.  Cyclic groups never qualify
+(rings can slide along the axis); axial groups qualify exactly when all
+points sit at the two poles.  D_m (m >= 3) qualifies when its order-2 sites are
 exactly m singly occupied points and every other site is a polar stack of
 order m; D2, whose three two-fold axes are alike, when all four sites have
 order 2 and one antipodal pair is singly occupied.  In the polyhedral
@@ -42,11 +46,11 @@ name; the pattern verdict is kept because the catalog is built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .symstate import (COINCIDENCE_TOL, MajoranaConfig, Rotation, pairwise_angles,
+from .symstate import (COINCIDENCE_TOL, MajoranaConfig, Rotation, _axis_angle, pairwise_angles,
                        site_decomposition)
 
 TWO_PI = 2.0 * math.pi
@@ -97,6 +101,9 @@ class SymmetryReport:
     elements: tuple[Rotation, ...]
     totally_invariant: bool
     witness: str
+    # A finite group's (G, 3, 3) rotation stack in element order; None for
+    # the continuous kinds.
+    _mats: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def label(self) -> str:
@@ -164,13 +171,13 @@ def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _axis_bins(rotations, axis_tol: float = _MAT_TOL):
-    """Group nonidentity rotations by axis line; order = count + 1.  A
-    rotation joins the bin of the first rotation whose axis lies within
+def _axis_bins(axes: np.ndarray, axis_tol: float = _MAT_TOL):
+    """Group the axes of nonidentity rotations by line; order = count + 1.
+    A rotation joins the bin of the first rotation whose axis lies within
     `axis_tol` of its own."""
-    if not rotations:
+    if not len(axes):
         return []
-    axes = _canonical_axis(np.array([rot.axis for rot in rotations]))
+    axes = _canonical_axis(axes)
     first = np.argmax(np.abs(axes @ axes.T) >= math.cos(axis_tol), axis=1)
     heads, counts = np.unique(first, return_counts=True)
     bins = [{"axis": axes[h], "count": int(c), "order": int(c) + 1}
@@ -179,21 +186,26 @@ def _axis_bins(rotations, axis_tol: float = _MAT_TOL):
     return bins
 
 
-def _fix_half_turn(rot: Rotation) -> Rotation:
-    """A half-turn about either sign of its axis is one rotation, and
-    `Rotation.from_matrix` takes that sign from a quaternion w of rounding
-    size; pin it with `_canonical_axis` so equal groups list equal elements."""
-    if math.pi - rot.angle > _HALF_TURN_TOL:
-        return rot
-    return Rotation(_canonical_axis(rot.axis), rot.angle)
+def _element_order(mats: np.ndarray):
+    """(mats, axes, angles) of a stack whose first matrix is the identity,
+    the rest sorted by angle, then axis, rounded to 9 decimals.  A half-turn
+    about either sign of its axis is one rotation, and `_axis_angle` takes
+    that sign from a quaternion w of rounding size; `_canonical_axis` pins
+    it, so equal groups list equal elements."""
+    axes, angles = _axis_angle(mats)
+    half = math.pi - angles <= _HALF_TURN_TOL
+    axes[half] = _canonical_axis(axes[half])
+    key = np.round(np.column_stack([angles, axes])[1:], 9)
+    order = np.concatenate([[0], 1 + np.lexsort(key[:, ::-1].T)])
+    return mats[order], axes[order], angles[order]
 
 
-def _elements(mats: np.ndarray) -> list[Rotation]:
-    """Rotations of a stack whose first matrix is the identity: the identity
-    first, then the rest sorted by angle and axis."""
-    nonid = sorted((_fix_half_turn(Rotation.from_matrix(mat)) for mat in mats[1:]),
-                   key=lambda r: (round(r.angle, 9), tuple(np.round(r.axis, 9))))
-    return [Rotation.identity()] + nonid
+def _finite_report(kind: str, order: int, principal, generators, mats, axes, angles):
+    """A finite group's report, its elements built from the sorted stack, via
+    a list: `tuple` of an iterator builds by resizing, which left the heap
+    about 35 bytes larger per detection over long runs."""
+    elements = tuple([Rotation(axis, angle) for axis, angle in zip(axes, angles)])
+    return SymmetryReport(kind, order, principal, generators, elements, False, "", mats)
 
 
 # The polyhedral groups by (order, largest axis order) in the census.
@@ -206,30 +218,30 @@ def _is_power(angles: np.ndarray, m: int, mat_tol: float) -> bool:
     return bool(np.all(np.abs(angles - step * np.round(angles / step)) <= mat_tol))
 
 
-def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
+def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL) -> SymmetryReport:
     """Census of the closed rotation stack (identity first, nothing else within
-    `mat_tol` of it) -> (kind, order, principal, generators, elements)."""
-    elements = _elements(mats)
-    if len(elements) == 1:
-        return TRIVIAL, 0, None, (), elements
-    bins = _axis_bins(elements[1:], mat_tol)
-    size = len(elements)
+    `mat_tol` of it): the report of its group, verdict not yet filled in."""
+    mats, axes, angles = _element_order(mats)
+    if len(mats) == 1:
+        return _finite_report(TRIVIAL, 0, None, (), mats, axes, angles)
+    bins = _axis_bins(axes[1:], mat_tol)
+    size = len(mats)
     principal = bins[0]["axis"]
     top = bins[0]["order"]
-    turns = np.array([r.angle for r in elements[1:]
-                      if abs(float(r.axis @ principal)) >= math.cos(mat_tol)])
+    turns = angles[1:][np.abs(axes[1:] @ principal) >= math.cos(mat_tol)]
     others_are_perpendicular_flips = all(
         entry["order"] == 2 and abs(float(entry["axis"] @ principal)) < mat_tol
         for entry in bins[1:])
     if (size == 2 * top and others_are_perpendicular_flips and len(bins) == top + 1
             and _is_power(turns, top, mat_tol)):
-        return DIHEDRAL, top, principal, (Rotation(principal, TWO_PI / top),
-                                          Rotation(bins[1]["axis"], math.pi)), elements
+        generators = (Rotation(principal, TWO_PI / top), Rotation(bins[1]["axis"], math.pi))
+        return _finite_report(DIHEDRAL, top, principal, generators, mats, axes, angles)
     kind = _POLYHEDRAL_CENSUS.get((size, top))
     if kind is not None:
         second = next(e for e in bins[1:] if abs(float(e["axis"] @ principal)) < 0.999)
-        return kind, 0, principal, (Rotation(principal, TWO_PI / top),
-                                    Rotation(second["axis"], TWO_PI / second["order"])), elements
+        generators = (Rotation(principal, TWO_PI / top),
+                      Rotation(second["axis"], TWO_PI / second["order"]))
+        return _finite_report(kind, 0, principal, generators, mats, axes, angles)
     # One axis, or an incomplete census (tolerance drift) degraded to the
     # best cyclic subgroup rather than a guess.  Sites closer than 2 tol let
     # near-rotations pass as symmetries, but a cyclic group never has more
@@ -240,16 +252,15 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
         order = max(next((m for m in range(2, site_count + 1)
                           if _is_power(turn, m, mat_tol)), 1) for turn in turns)
     if order == 1:
-        return TRIVIAL, 0, None, (), elements[:1]
-    elements = _elements(np.stack([Rotation(principal, TWO_PI * k / order).matrix()
-                                   for k in range(order)]))
-    return CYCLIC, order, principal, (Rotation(principal, TWO_PI / order),), elements
+        return _finite_report(TRIVIAL, 0, None, (), mats[:1], axes[:1], angles[:1])
+    powers = np.stack([Rotation(principal, TWO_PI * k / order).matrix() for k in range(order)])
+    return _finite_report(CYCLIC, order, principal, (Rotation(principal, TWO_PI / order),),
+                          *_element_order(powers))
 
 
 def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> SymmetryReport:
     """Largest rotation group permuting the configuration's point multiset."""
     sites, mult = site_decomposition(config.unit_vectors(), tol)
-    mats = None
     if len(sites) == 1:
         report = SymmetryReport(SO3, 0, sites[0], (), (), False, "")
     elif len(sites) == 2 and float(sites[0] @ sites[1]) <= -math.cos(tol):
@@ -265,11 +276,8 @@ def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> Symmet
         # At loose site tolerances the listed matrices carry comparable
         # error, so the census threshold has to widen with them.
         mat_tol = max(_MAT_TOL, 4.0 * tol)
-        mats = _list_group(sites, mult, tol)
-        kind, order, principal, generators, elements = _classify(mats, len(sites), mat_tol)
-        report = SymmetryReport(kind, order, principal, generators,
-                                tuple(elements), False, "")
-    invariant, witness = _invariance(config.n, report, sites, mult, mats, tol)
+        report = _classify(_list_group(sites, mult, tol), len(sites), mat_tol)
+    invariant, witness = _invariance(config.n, report, sites, mult, tol)
     return replace(report, totally_invariant=invariant, witness=witness)
 
 
@@ -344,9 +352,9 @@ def _ti_polyhedral(n: int, kind: str, principal: np.ndarray, sites: np.ndarray,
 
 
 def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndarray,
-                mats: np.ndarray | None, tol: float) -> tuple[bool, str]:
+                tol: float) -> tuple[bool, str]:
     """Total-invariance verdict and witness from the sites and, for the
-    finite groups, the rotation stack that detection already computed."""
+    finite groups, the report's rotation stack."""
     kind = report.kind
     if kind == SO3:
         return False, ("all points coincident (a product state); the cluster "
@@ -358,10 +366,10 @@ def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndar
                        "rings can slide along the axis without breaking it")
     if kind in (SO2, O2):
         return _ti_axial(n, report.axis, sites, mult)
-    orders = _stabiliser_orders(sites, mats, tol)
+    orders = _stabiliser_orders(sites, report._mats, tol)
     if kind == DIHEDRAL:
         return _ti_dihedral(report.order, orders, mult)
-    return _ti_polyhedral(n, kind, report.axis, sites, mats, orders, mult, tol)
+    return _ti_polyhedral(n, kind, report.axis, sites, report._mats, orders, mult, tol)
 
 
 # The dihedral orders D_m that each polyhedral group contains.
@@ -373,9 +381,10 @@ def contains_dihedral(config: MajoranaConfig, m: int, tol: float = COINCIDENCE_T
     flip) preserves the configuration, regardless of the maximal group.
     Read off the group `detect_group` reports: O(2) holds every D_m, D_k
     holds D_m exactly when m divides k, and T, O and Y hold the orders in
-    `_DIHEDRAL_SUBGROUPS`."""
-    if m < 2:
-        raise ValueError("dihedral order must be at least 2")
+    `_DIHEDRAL_SUBGROUPS`.  Raises ValueError unless m is an integer (not a
+    bool) of at least 2."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"dihedral order must be an integer of at least 2, got {m!r}")
     report = detect_group(config, tol)
     if report.kind == DIHEDRAL:
         return report.order % m == 0

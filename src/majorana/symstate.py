@@ -21,7 +21,9 @@ the product expansion convolves one such factor per point, and
 
 Rotations move the points rigidly (`rotate`) and the amplitudes by the
 spin-n/2 unitary (`wigner_rotation`, the one-rotation case of the batched
-`_wigner_stack`), so `rotate_state` finds no roots.
+`_wigner_stack`, which takes arrays of axes and angles), so `rotate_state`
+finds no roots.  `_axis_angle` reads axes and angles off a (G, 3, 3) matrix
+stack; `Rotation.from_matrix` is its one-matrix case, checked for rotations.
 
 Angles are radians throughout: theta is the polar angle in [0, pi]
 measured from +z, phi the azimuth in [0, 2*pi), wrapped there directly, so
@@ -56,6 +58,11 @@ _PRODUCT_RESIDUAL = 1e-13
 # 1.6e-9, on n = 64 states with a 2- and a 4-fold cluster.  Acceptance
 # criterion 1 keeps its own 1e-9 bound for n <= 20.
 _ROUND_TRIP_TOL = 1e-8
+
+# Largest entry of |M^T M - I| that `Rotation.from_matrix` accepts: rotations
+# built in floating point stay within 1e-15 of orthogonal, and the axis and
+# angle read off a matrix this close are those of a rotation about as close.
+_ORTHOGONAL_TOL = 1e-9
 
 
 @lru_cache(maxsize=128)
@@ -179,6 +186,36 @@ class MajoranaConfig:
         return self.n == other.n and np.array_equal(self.points, other.points)
 
 
+def _axis_angle(mats) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes (G, 3) and angles in [0, pi] (G,) of a (G, 3, 3) stack of
+    rotation matrices.
+
+    Each quaternion is read off the largest of the three diagonal entries
+    and the trace (Shepperd's method), so axes stay exact at angles near
+    pi; its sign is then fixed as w >= 0, and at w = 0 the first nonzero of
+    x, y, z positive.  Angles below 1e-15 give the identity's axis +z and
+    angle 0.
+    """
+    m = np.asarray(mats, dtype=float)
+    rows, diag = np.arange(len(m)), np.diagonal(m, axis1=1, axis2=2)
+    trace = np.trace(m, axis1=1, axis2=2)
+    skew = m[:, [2, 0, 1], [1, 2, 0]] - m[:, [1, 2, 0], [2, 0, 1]]
+    # Row c of each block is 4 q_c (x, y, z, w): one candidate per pivot.
+    candidates = np.empty((len(m), 4, 4))
+    candidates[:, :3, :3] = m + np.swapaxes(m, 1, 2)
+    candidates[:, [0, 1, 2], [0, 1, 2]] = 1.0 - trace[:, None] + 2.0 * diag
+    candidates[:, :3, 3] = candidates[:, 3, :3] = skew
+    candidates[:, 3, 3] = 1.0 + trace
+    q = candidates[rows, np.argmax(np.column_stack([diag, trace]), axis=1)]
+    wxyz = q[:, [3, 0, 1, 2]]
+    q = np.where(wxyz[rows, np.argmax(wxyz != 0.0, axis=1)][:, None] < 0.0, -q, q)
+    norm = np.sqrt(np.sum(q[:, :3] ** 2, axis=1))
+    angles = 2.0 * np.arctan2(norm, q[:, 3])
+    identity = angles < 1e-15
+    axes = q[:, :3] / np.where(identity, 1.0, norm)[:, None]
+    return np.where(identity[:, None], [0.0, 0.0, 1.0], axes), np.where(identity, 0.0, angles)
+
+
 @dataclass(frozen=True)
 class Rotation:
     """Axis-angle rotation of the sphere (right-hand rule, active)."""
@@ -200,37 +237,17 @@ class Rotation:
         object.__setattr__(self, "angle", angle)
 
     @staticmethod
-    def identity() -> "Rotation":
-        return Rotation(np.array([0.0, 0.0, 1.0]), 0.0)
-
-    @staticmethod
     def from_matrix(mat) -> "Rotation":
-        """Axis and angle in [0, pi] of a rotation matrix.
-
-        The quaternion is read off the largest of the three diagonal entries
-        and the trace (Shepperd's method), so axes stay exact at angles near
-        pi; its sign is then fixed as w >= 0, and at w = 0 the first nonzero
-        of x, y, z positive.
-        """
-        m = np.asarray(mat, dtype=float).reshape(3, 3).tolist()
-        decision = [m[0][0], m[1][1], m[2][2], m[0][0] + m[1][1] + m[2][2]]
-        i = max(range(4), key=decision.__getitem__)
-        if i == 3:
-            q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1.0 + decision[3]]
-        else:
-            j, k = (i + 1) % 3, (i + 2) % 3
-            q = [0.0] * 4
-            q[i] = 1.0 - decision[3] + 2.0 * m[i][i]
-            q[j] = m[j][i] + m[i][j]
-            q[k] = m[k][i] + m[i][k]
-            q[3] = m[k][j] - m[j][k]
-        if next((c for c in (q[3], q[0], q[1], q[2]) if c != 0.0), 1.0) < 0.0:
-            q = [-c for c in q]
-        norm = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
-        angle = 2.0 * math.atan2(norm, q[3])
-        if angle < 1e-15:
-            return Rotation.identity()
-        return Rotation(np.array(q[:3]) / norm, angle)
+        """Axis and angle in [0, pi] of a rotation matrix: the one-matrix case
+        of `_axis_angle`.  Raises ValueError unless the matrix is finite,
+        orthogonal within _ORTHOGONAL_TOL and has a positive determinant."""
+        m = np.asarray(mat, dtype=float).reshape(3, 3)
+        if not (np.all(np.isfinite(m))
+                and np.abs(m.T @ m - np.eye(3)).max() <= _ORTHOGONAL_TOL
+                and np.linalg.det(m) > 0.0):
+            raise ValueError("expected a finite orthogonal 3x3 matrix with determinant +1")
+        axes, angles = _axis_angle(m[None])
+        return Rotation(axes[0], angles[0])
 
     def matrix(self) -> np.ndarray:
         """Rodrigues: I + sin(a) K + 2 sin^2(a/2) K^2, K the axis's cross-product matrix."""
@@ -296,12 +313,12 @@ def _frame(n: int, axes) -> np.ndarray:
     return np.exp(-1j * phi[..., None, None] * (n / 2.0 - np.arange(n + 1))[:, None]) * small_d
 
 
-def _wigner_stack(n: int, rotations) -> np.ndarray:
-    """`wigner_rotation` of every rotation at once, shape (G, n+1, n+1):
-    one `_frame` over the stacked axes and batched matrix products."""
-    align = _frame(n, np.array([r.axis for r in rotations]))
-    angles = np.array([r.angle for r in rotations])
-    turn = np.exp(-1j * angles[:, None, None] * (n / 2.0 - np.arange(n + 1)))
+def _wigner_stack(n: int, axes, angles) -> np.ndarray:
+    """`wigner_rotation` of every rotation (axes[g], angles[g]) at once, shape
+    (G, n+1, n+1): one `_frame` over the axes and batched matrix products."""
+    align = _frame(n, axes)
+    turn = np.exp(-1j * np.asarray(angles, dtype=float)[:, None, None]
+                  * (n / 2.0 - np.arange(n + 1)))
     return (align * turn) @ np.swapaxes(align.conj(), -1, -2)
 
 
@@ -309,7 +326,7 @@ def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
     """Unitary action of a sphere rotation on the n-qubit symmetric subspace:
     exp(-i alpha a.J) = A exp(-i alpha Jz) A^dagger, with a the rotation's
     axis and A = `_frame(n, a)`; the one-rotation case of `_wigner_stack`."""
-    return _wigner_stack(n, [r])[0]
+    return _wigner_stack(n, [r.axis], [r.angle])[0]
 
 
 def _spinors(theta, phi) -> tuple[np.ndarray, np.ndarray]:

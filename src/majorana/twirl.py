@@ -3,10 +3,14 @@ certificate.
 
 Everything lives in the (n+1)-dimensional symmetric subspace: product
 states along a direction are the coherent vectors, rotations act through
-their Wigner matrices, one (G, n+1, n+1) stack per group
-(`symstate._wigner_stack`), and averaging a maximizing product state
-over the detected symmetry group yields an invariant separable operator
-omega.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
+their Wigner matrices, one (G, n+1, n+1) stack per group built from the
+elements' axes and angles (`symstate._wigner_stack`), and averaging a
+maximizing product state over the detected symmetry group yields an
+invariant separable operator omega.  Operators are plain Dicke-basis
+arrays: `group_average` returns omega and the Wigner stack, and
+`certify_equivalence` takes the trace, the least eigenvalue and the
+expectation in psi of the residual directly; every matrix they read is
+one the module built itself.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
 is a density matrix with no component on psi, then omega has the split that
 pins three entanglement measures of psi to the common value -log2(Lambda).
 
@@ -33,43 +37,10 @@ from .entanglement import EntanglementResult
 from .symmetry import O2, SO2, SO3, TRIVIAL, SymmetryReport
 from .symstate import SymmetricState, _frame, _wigner_stack, coherent_amplitudes, wigner_rotation
 
-_HERMITIAN_TOL = 1e-12
-
 OVERLAP_TOL = 1e-6
 PSD_TOL = 1e-9
 RESIDUAL_COMPONENT_TOL = 1e-9
 TRACE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class SymmetricOperator:
-    """Hermitian operator on the symmetric subspace, Dicke-basis matrix."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.n + 1, self.n + 1):
-            raise ValueError(f"expected a {self.n + 1}x{self.n + 1} matrix, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITIAN_TOL * max(1.0, np.max(np.abs(mat))):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        mat = 0.5 * (mat + mat.conj().T)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def expectation(self, state: SymmetricState) -> float:
-        return float(np.vdot(state.amps, self.matrix @ state.amps).real)
 
 
 @dataclass(frozen=True)
@@ -92,10 +63,10 @@ class TwirlCertificate:
 
 
 def group_average(direction: tuple[float, float], group: SymmetryReport,
-                  n: int) -> tuple[SymmetricOperator, np.ndarray | None]:
-    """Average of the product state along `direction` over the group action,
-    with the stacked Wigner matrices of a discrete group's elements (None
-    for the axial kinds).
+                  n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Dicke-basis matrix of the average of the product state along
+    `direction` over the group action, with the stacked Wigner matrices of a
+    discrete group's elements (None for the axial kinds).
 
     Discrete groups average their element list; the axial groups dephase
     in the excitation basis of the axis (the closed form of the continuous
@@ -117,12 +88,12 @@ def group_average(direction: tuple[float, float], group: SymmetryReport,
         if group.kind == O2:
             flip = wigner_rotation(n, group.generators[0])
             omega = 0.5 * (omega + flip @ omega @ flip.conj().T)
-        return SymmetricOperator(n, omega), None
+        return omega, None
     if not group.elements:
         raise ValueError(f"group kind {group.kind!r} carries no element list")
-    mats = _wigner_stack(n, group.elements)
+    mats = _wigner_stack(n, [g.axis for g in group.elements], [g.angle for g in group.elements])
     orbit = mats @ vec
-    return SymmetricOperator(n, orbit.T @ orbit.conj() / len(mats)), mats
+    return orbit.T @ orbit.conj() / len(mats), mats
 
 
 def _isotypic_multiplicity(amps: np.ndarray, mats: np.ndarray) -> int:
@@ -160,13 +131,12 @@ def certify_equivalence(state: SymmetricState, ent: EntanglementResult,
                          "residual is undefined")
     omega, mats = group_average((ent.theta, ent.phi), sym, state.n)
     multiplicity = 1 if mats is None else _isotypic_multiplicity(state.amps, mats)
-    overlap = omega.expectation(state)
-    psi_projector = np.outer(state.amps, state.amps.conj())
-    delta = SymmetricOperator(state.n,
-                              (omega.matrix - lam * psi_projector) / (1.0 - lam))
-    min_eig = delta.min_eigenvalue
-    psi_component = delta.expectation(state)
-    trace_gap = delta.trace - 1.0
+    psi = state.amps
+    overlap = float(np.vdot(psi, omega @ psi).real)
+    delta = (omega - lam * np.outer(psi, psi.conj())) / (1.0 - lam)
+    min_eig = float(np.linalg.eigvalsh(delta)[0])
+    psi_component = float(np.vdot(psi, delta @ psi).real)
+    trace_gap = float(np.trace(delta).real) - 1.0
     legs = [
         (abs(overlap - lam) <= OVERLAP_TOL,
          f"overlap leg: <psi|omega|psi> - Lambda = {overlap - lam:+.3e}"),
@@ -183,8 +153,8 @@ def certify_equivalence(state: SymmetricState, ent: EntanglementResult,
         hypothesis.append(f"psi's isotypic multiplicity is {multiplicity}, not 1: "
                           "another symmetric state transforms like psi, so the "
                           "average need not keep psi as an eigenvector")
-    return TwirlCertificate(lambda_claimed=lam, overlap=float(overlap),
+    return TwirlCertificate(lambda_claimed=lam, overlap=overlap,
                             delta_min_eig=min_eig,
-                            delta_psi_component=float(psi_component),
+                            delta_psi_component=psi_component,
                             valid=not failed, multiplicity=multiplicity,
                             reason="; ".join(hypothesis + failed) or None)

@@ -16,6 +16,7 @@ from majorana import (
 from majorana import symmetry
 from majorana.catalog import (
     SOLIDS,
+    totally_invariant_states,
     gen_dicke,
     gen_dihedral,
     gen_ghz,
@@ -218,6 +219,20 @@ def test_contains_dihedral():
         contains_dihedral(ghz4, 1)
 
 
+def test_contains_dihedral_rejects_non_integer_orders():
+    # 5 % 2.5 == 0 once read D5 as holding a "D2.5", and a NaN order as not
+    # holding it; orders that are not integers, bools included, now raise
+    d5 = _config(gen_dihedral(5, 0))
+    assert detect_group(d5).label == "D5"
+    for m in (2.5, 5.0, float("nan"), float("inf"), True, False, "5", None):
+        with pytest.raises(ValueError):
+            contains_dihedral(d5, m)
+    for m in (1, 0, -5, np.int64(1)):
+        with pytest.raises(ValueError, match="at least 2"):
+            contains_dihedral(d5, m)
+    assert contains_dihedral(d5, np.int64(5))
+
+
 def test_report_axis_is_unit_length():
     for state in (gen_ghz(6), gen_dicke(5, 1)):
         report = detect_group(_config(state))
@@ -309,10 +324,12 @@ def test_cyclic_fallback_takes_its_order_from_the_listed_turns():
     # cyclic group on three sites, so nothing is reported
     z = np.array([0.0, 0.0, 1.0])
     fifths = np.stack([np.eye(3)] + [Rotation(z, 2 * math.pi * k / 5).matrix() for k in (1, 2)])
-    kind, order, _, _, elements = symmetry._classify(fifths, 7)
+    report = symmetry._classify(fifths, 7)
+    kind, order, elements = report.kind, report.order, report.elements
     assert (kind, order, len(elements)) == (symmetry.CYCLIC, 5, 5)
     near = np.stack([np.eye(3), Rotation(z, 0.26).matrix()])
-    kind, order, _, _, elements = symmetry._classify(near, 3)
+    report = symmetry._classify(near, 3)
+    kind, order, elements = report.kind, report.order, report.elements
     assert (kind, order, len(elements)) == (symmetry.TRIVIAL, 0, 1)
 
 
@@ -368,12 +385,45 @@ def test_axis_bins_match_greedy_loop():
         report = detect_group(cfg)
         # the census bins the reported elements as the loop did
         nonid = report.elements[1:]
-        bins = symmetry._axis_bins(nonid, mat_tol)
+        bins = symmetry._axis_bins(np.array([rot.axis for rot in nonid]), mat_tol)
         expected = sorted(_axis_bins_loop(nonid, mat_tol),
                           key=lambda e: (-e[1], tuple(np.round(-e[0], 9))))
         assert [e["count"] for e in bins] == [count for _, count in expected]
         for entry, (axis, _) in zip(bins, expected):
             assert np.array_equal(entry["axis"], axis)
+
+
+def _catalog_configs():
+    """The 144 catalog states: the inventory n = 3..14 plus the three solids."""
+    states = [entry.state for n in range(3, 15) for entry in totally_invariant_states(n)]
+    states += [gen_platonic(solid) for solid in ("cube", "icosahedron", "dodecahedron")]
+    return [_config(state) for state in states]
+
+
+def test_report_stack_is_its_elements():
+    # the report's private stack starts with the exact identity, lists the
+    # elements' matrices in element order, is closed under products, and
+    # gives each site the stabiliser order that the element matrices give
+    configs = _reference_configs() + _catalog_configs()
+    assert len(configs) == len(_reference_configs()) + 144
+    finite = 0
+    for cfg in configs:
+        report = detect_group(cfg)
+        if not report.elements:
+            assert report._mats is None
+            continue
+        finite += 1
+        mats = report._mats
+        assert np.array_equal(mats[0], np.eye(3))
+        matrices = np.array([element.matrix() for element in report.elements])
+        np.testing.assert_allclose(mats, matrices, rtol=0, atol=1e-14)
+        products = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 1, 3, 3)
+        assert np.abs(products - mats[None]).max(axis=(2, 3)).min(axis=1).max() <= 1e-12
+        sites, _ = site_decomposition(cfg.unit_vectors(), COINCIDENCE_TOL)
+        np.testing.assert_array_equal(
+            symmetry._stabiliser_orders(sites, mats, COINCIDENCE_TOL),
+            symmetry._stabiliser_orders(sites, matrices, COINCIDENCE_TOL))
+    assert finite >= 54
 
 
 def _closed_group(generators):
@@ -452,11 +502,11 @@ def test_half_turn_axes_ignore_rounding_noise():
         mats = np.array([rot.matrix() for rot in report.elements])
         half_turns = [abs(rot.angle - math.pi) < 1e-6 for rot in report.elements]
         assert any(half_turns)
-        expected = symmetry._classify(mats, len(mats))[4]
+        expected = symmetry._classify(mats, len(mats)).elements
         for sign in (1.0, -1.0):
             noisy = mats.copy()
             noisy[half_turns] += sign * 1e-15 * skew
-            elements = symmetry._classify(noisy, len(noisy))[4]
+            elements = symmetry._classify(noisy, len(noisy)).elements
             assert len(elements) == len(expected)
             for got, want in zip(elements, expected):
                 assert abs(got.angle - want.angle) < 1e-12
@@ -471,11 +521,11 @@ def test_half_turn_order_survives_seeded_noise():
         report = detect_group(_config(state))
         mats = np.array([rot.matrix() for rot in report.elements])
         half_turns = np.array([abs(rot.angle - math.pi) < 1e-6 for rot in report.elements])
-        expected = symmetry._classify(mats, len(mats))[4]
+        expected = symmetry._classify(mats, len(mats)).elements
         for trial in range(200):
             noisy = mats.copy()
             noisy[half_turns] += 1e-15 * rng.standard_normal((half_turns.sum(), 3, 3))
-            elements = symmetry._classify(noisy, len(noisy))[4]
+            elements = symmetry._classify(noisy, len(noisy)).elements
             assert len(elements) == len(expected)
             for got, want in zip(elements, expected):
                 assert abs(got.angle - want.angle) < 1e-12, trial

@@ -26,7 +26,8 @@ from majorana import (
     to_json_text,
     to_majorana,
 )
-from majorana.symstate import binomial_weights, cluster_directions, pairwise_angles, parse_json_dict
+from majorana.symstate import (_axis_angle, binomial_weights, cluster_directions, pairwise_angles,
+                               parse_json_dict)
 
 from helpers import PRODUCT_THETAS, perturb_config, product_states, random_rotation
 
@@ -260,6 +261,67 @@ def test_non_finite_angles_are_refused(call):
     # a NaN or infinite angle must not come back as a NaN answer
     with pytest.raises(ValueError, match="must be finite"):
         call()
+
+
+def _axis_angle_loop(mat):
+    """Reference for `_axis_angle`, one matrix at a time: the quaternion off
+    the largest of the diagonal and the trace (Shepperd), signed w >= 0 and
+    at w = 0 with the first nonzero of x, y, z positive."""
+    m = np.asarray(mat, dtype=float).reshape(3, 3).tolist()
+    decision = [m[0][0], m[1][1], m[2][2], m[0][0] + m[1][1] + m[2][2]]
+    i = max(range(4), key=decision.__getitem__)
+    if i == 3:
+        q = [m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1.0 + decision[3]]
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q = [0.0] * 4
+        q[i] = 1.0 - decision[3] + 2.0 * m[i][i]
+        q[j] = m[j][i] + m[i][j]
+        q[k] = m[k][i] + m[i][k]
+        q[3] = m[k][j] - m[j][k]
+    if next((c for c in (q[3], q[0], q[1], q[2]) if c != 0.0), 1.0) < 0.0:
+        q = [-c for c in q]
+    norm = math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2)
+    angle = 2.0 * math.atan2(norm, q[3])
+    if angle < 1e-15:
+        return np.array([0.0, 0.0, 1.0]), 0.0
+    return np.array(q[:3]) / norm, angle
+
+
+def test_axis_angle_matches_scalar_loop():
+    # the vectorised converter against the one-matrix loop: seeded rotations,
+    # the identity and near-identity and near-half-turn angles, exact
+    # half-turns about coordinate and tie axes, and half-turns whose
+    # quaternion w is a +-1e-15 antisymmetric term, which picks the sign
+    rng = np.random.default_rng(2201)
+    mats = [random_rotation(rng).matrix() for _ in range(500)]
+    mats += [Rotation(rng.normal(size=3), rng.uniform(-7.0, 7.0)).matrix() for _ in range(500)]
+    mats += [np.eye(3)] + [Rotation(rng.normal(size=3), angle).matrix()
+                           for angle in (1e-9, math.pi - 1e-12) for _ in range(20)]
+    skew = np.array([[0.0, -1.0, 0.3], [1.0, 0.0, -0.7], [-0.3, 0.7, 0.0]])
+    ties = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (-1, 1, 0), (0, 1, -1), (1, 0, 1),
+            (1, 1, 1), (1, -1, 1), (-1, -1, 1)]
+    for axis in ties:
+        axis = np.array(axis, dtype=float) / np.linalg.norm(axis)
+        half = 2.0 * np.outer(axis, axis) - np.eye(3)
+        mats += [half, half + 1e-15 * skew, half - 1e-15 * skew]
+    axes, angles = _axis_angle(np.array(mats))
+    for mat, axis, angle in zip(mats, axes, angles):
+        want_axis, want_angle = _axis_angle_loop(mat)
+        assert abs(angle - want_angle) <= 1e-15
+        np.testing.assert_allclose(axis, want_axis, rtol=0, atol=1e-15)
+        assert float(axis @ want_axis) > 0.0
+
+
+def test_rotation_from_matrix_rejects_non_rotations():
+    # -I and a reflection are orthogonal with det -1, a NaN matrix is not
+    # finite, and a scaled rotation is not orthogonal: none is a rotation
+    turn = Rotation(np.array([1.0, 2.0, 3.0]), 0.4).matrix()
+    for mat in (-np.eye(3), np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan),
+                1.01 * turn, 2.0 * turn):
+        with pytest.raises(ValueError, match="orthogonal"):
+            Rotation.from_matrix(mat)
+    assert abs(Rotation.from_matrix(turn).angle - 0.4) < 1e-15
 
 
 def test_rotation_compose_inverse():
