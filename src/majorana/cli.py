@@ -2,9 +2,7 @@
 
 Commands read one state (or configuration) from --input and write to
 --output, with "-" meaning stdin/stdout.  Exit codes: 0 success, 1 domain
-error (bad parameters, unattainable request), 2 I/O or schema error.  The
-environment variable MAJORANA_TOL overrides the default clustering and
-symmetry tolerance; a --tol flag beats the environment.
+error (bad parameters, unattainable request), 2 I/O or schema error.
 """
 from __future__ import annotations
 
@@ -13,7 +11,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .catalog import SOLIDS, gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
@@ -69,20 +66,13 @@ def _load_config(path: str) -> MajoranaConfig:
     return parsed
 
 
-def _tolerance(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        source, value = "--tol", args.tol
-    else:
-        raw = os.environ.get("MAJORANA_TOL")
-        if raw is None:
-            return COINCIDENCE_TOL
-        source = "$MAJORANA_TOL"
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise SchemaError(source, f"not a number: {raw!r}") from exc
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value > 0):
-        raise SchemaError(source, f"tolerance must be finite and positive, got {value!r}")
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text!r}")
     return value
 
 
@@ -112,7 +102,7 @@ def _cmd_entangle(args) -> int:
     if args.oracle:
         result = grid_oracle(state, args.resolution)
     else:
-        result = geometric_measure(state, args.starts)
+        result = geometric_measure(state)
     _write_json(args.output, {"lambda": result.lam, "eg_bits": result.eg,
                               "theta": result.theta, "phi": result.phi,
                               "converged": result.converged,
@@ -128,7 +118,7 @@ def _rotation_json(rotation) -> dict:
 
 def _cmd_symmetry(args) -> int:
     config = _load_config(args.input)
-    report = detect_group(config, _tolerance(args))
+    report = detect_group(config, args.tol)
     _write_json(args.output, {
         "group": report.label,
         "order": report.order,
@@ -143,7 +133,7 @@ def _cmd_symmetry(args) -> int:
 def _cmd_slocc(args) -> int:
     state_a = _load_state(args.first)
     state_b = _load_state(args.second)
-    verdict = slocc_distinguish(state_a, state_b, args.starts, _tolerance(args))
+    verdict = slocc_distinguish(state_a, state_b, args.tol)
     sig_a, sig_b = verdict.signatures
     _write_json(args.output, {
         "result": verdict.result,
@@ -155,7 +145,7 @@ def _cmd_slocc(args) -> int:
 
 
 def _cmd_table4(args) -> int:
-    rows, verdicts = four_qubit_table(args.starts)
+    rows, verdicts = four_qubit_table()
     _write_json(args.output, {
         "rows": [{"name": r.name, "group": r.group,
                   "signature": list(r.signature.multiplicities),
@@ -169,8 +159,8 @@ def _cmd_table4(args) -> int:
 
 def _cmd_twirl(args) -> int:
     state = _load_state(args.input)
-    ent = geometric_measure(state, args.starts)
-    report = detect_group(ent.config, _tolerance(args))
+    ent = geometric_measure(state)
+    report = detect_group(ent.config, args.tol)
     certificate = certify_equivalence(
         state, ent, report,
         require_total_invariance=not args.allow_non_invariant)
@@ -242,9 +232,9 @@ def _cmd_plot(args) -> int:
     config = _load_config(args.input)
     maximizer = None
     if args.with_maximizer:
-        ent = geometric_measure(to_dicke(config), args.starts)
+        ent = geometric_measure(to_dicke(config))
         maximizer = (ent.theta, ent.phi)
-    rows = plot_rows(config, maximizer, _tolerance(args))
+    rows = plot_rows(config, maximizer, args.tol)
     _write_text(args.output, write_csv(rows))
     if args.svg is not None:
         _write_text(args.svg, write_svg(rows))
@@ -260,16 +250,8 @@ def _add_io(parser, needs_input=True):
 
 
 def _add_tol(parser):
-    parser.add_argument("--tol", type=float, default=None,
-                        help="angular tolerance in radians "
-                             f"(default: MAJORANA_TOL or {COINCIDENCE_TOL:g})")
-
-
-def _add_optimizer(parser):
-    parser.add_argument("--starts", type=int, default=None,
-                        help="multi-start count (default max(32, n^2)); product states and "
-                             "states non-negative up to a phase and a z-turn run no ascent "
-                             "and ignore it")
+    parser.add_argument("--tol", type=_tolerance, default=COINCIDENCE_TOL,
+                        help=f"angular tolerance in radians (default {COINCIDENCE_TOL:g})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     entangle = commands.add_parser("entangle", help="geometric entanglement")
     _add_io(entangle)
-    _add_optimizer(entangle)
     entangle.add_argument("--oracle", action="store_true",
                           help="use the exhaustive grid instead of multi-start")
     entangle.add_argument("--resolution", type=int, default=300)
@@ -319,18 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     slocc.add_argument("second", help="path to the second state JSON")
     _add_io(slocc, needs_input=False)
     _add_tol(slocc)
-    _add_optimizer(slocc)
     slocc.set_defaults(func=_cmd_slocc)
 
     table4 = commands.add_parser("table4", help="four-qubit comparison table")
     _add_io(table4, needs_input=False)
-    _add_optimizer(table4)
     table4.set_defaults(func=_cmd_table4)
 
     twirl = commands.add_parser("twirl", help="group-average certificate")
     _add_io(twirl)
     _add_tol(twirl)
-    _add_optimizer(twirl)
     twirl.add_argument("--allow-non-invariant", action="store_true",
                        help="run the construction even off-catalog")
     twirl.set_defaults(func=_cmd_twirl)
@@ -338,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     plot = commands.add_parser("plot", help="emit point-cluster CSV (and SVG)")
     _add_io(plot)
     _add_tol(plot)
-    _add_optimizer(plot)
     plot.add_argument("--with-maximizer", action="store_true")
     plot.add_argument("--svg", default=None, help="also write an SVG here")
     plot.set_defaults(func=_cmd_plot)

@@ -391,21 +391,18 @@ def _meridian_candidates(amps: np.ndarray, beta: float) -> tuple[np.ndarray, np.
     return theta, np.abs(_binomial_rows(*_spinors(theta, beta), n).conj() @ amps) ** 2
 
 
-def geometric_measure(state: SymmetricState, num_starts: int | None = None) -> EntanglementResult:
+def geometric_measure(state: SymmetricState) -> EntanglementResult:
     """Best product overlap Lambda and its direction for one state.
 
-    The ascent starts from a Fibonacci lattice of `num_starts` points,
-    max(32, n^2) when None; product states and states non-negative up to a
-    phase and a z-turn (`_meridian_turn`) run no ascent.  The ascent
+    The ascent starts from a Fibonacci lattice of max(32, n^2) points;
+    product states and states non-negative up to a phase and a z-turn
+    (`_meridian_turn`) run no ascent.  The ascent
     halves its active starts after every sweep, keeping the better half and
     at least _POLISH_COUNT, and runs at most _MAX_SWEEPS sweeps, stopping on
     its own once every start has dropped out; the result's `iterations`
     counts those ascent sweeps.  The polish of the winners must reach
-    _POLISH_GRADIENT_TOL for `converged`.  Raises ValueError when
-    `num_starts` is below 1.
+    _POLISH_GRADIENT_TOL for `converged`.
     """
-    if num_starts is not None and num_starts < 1:
-        raise ValueError(f"num_starts must be positive, got {num_starts!r}")
     config = to_majorana(state)
     if np.all(config.points == config.points[0]):  # a product state
         return _make_result(1.0, config.points[0], 0, True, 0.0, 0, config)
@@ -425,8 +422,7 @@ def geometric_measure(state: SymmetricState, num_starts: int | None = None) -> E
                                                            best_u[None, :])
         return _make_result(best_value, unit_to_angles(best_u), 0,
                             best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0, config)
-    count = max(32, state.n * state.n) if num_starts is None else num_starts
-    starts = _start_points(mp_units, count)
+    starts = _start_points(mp_units, max(32, state.n * state.n))
     units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL, _MAX_SWEEPS)
     winners = _distinct_winners(units, _overlap_sq(state.amps, units))
     best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, units[winners])

@@ -127,7 +127,6 @@ def _rank_bound(ent: EntanglementResult) -> int:
 
 
 def slocc_distinguish(a: SymmetricState, b: SymmetricState,
-                      num_starts: int | None = None,
                       tol: float = COINCIDENCE_TOL,
                       ent_a: EntanglementResult | None = None,
                       ent_b: EntanglementResult | None = None) -> Verdict:
@@ -136,8 +135,7 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
     Precomputed optimizer results may be passed to avoid repeated work in
     pairwise sweeps: `ent_a` and `ent_b` must be results for `a` and `b`,
     whose configurations are then reused instead of finding the roots
-    again.  `num_starts` goes to `geometric_measure` when a rank bound
-    needs a result that was not passed.
+    again.
     """
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} vs {b.n}")
@@ -161,7 +159,7 @@ def slocc_distinguish(a: SymmetricState, b: SymmetricState,
     for i, j, ent in ((0, 1, ent_b), (1, 0, ent_a)):
         if known[i] is None or known[j] is not None:
             continue
-        bound = _rank_bound(ent if ent is not None else geometric_measure((a, b)[j], num_starts))
+        bound = _rank_bound(ent if ent is not None else geometric_measure((a, b)[j]))
         if bound > known[i]:
             return Verdict(INEQUIVALENT,
                            f"rank bound of the {names[j]} state ({bound}) exceeds the "
@@ -184,7 +182,7 @@ class PairVerdict:
     verdict: Verdict
 
 
-def four_qubit_table(num_starts: int | None = None):
+def four_qubit_table():
     """Symmetry, signature, E_G, and pairwise verdicts for the four
     canonical four-qubit states."""
     from .catalog import gen_dicke, gen_ghz, gen_tetrahedral
@@ -192,10 +190,10 @@ def four_qubit_table(num_starts: int | None = None):
 
     states = [("T", gen_tetrahedral()), ("GHZ4", gen_ghz(4)),
               ("S(4,2)", gen_dicke(4, 2)), ("W4", gen_dicke(4, 1))]
-    measured = [(name, state, geometric_measure(state, num_starts)) for name, state in states]
+    measured = [(name, state, geometric_measure(state)) for name, state in states]
     rows = [TableRow(name, detect_group(ent.config).label, degeneracy_signature(ent.config),
                      ent.eg) for name, _, ent in measured]
     verdicts = [PairVerdict(name_a, name_b,
-                            slocc_distinguish(a, b, num_starts, ent_a=ent_a, ent_b=ent_b))
+                            slocc_distinguish(a, b, ent_a=ent_a, ent_b=ent_b))
                 for (name_a, a, ent_a), (name_b, b, ent_b) in combinations(measured, 2)]
     return tuple(rows), tuple(verdicts)

@@ -126,7 +126,7 @@ class SymmetricState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"qubit count must be a positive integer, got {self.n!r}")
         amps = np.atleast_1d(np.asarray(self.amps, dtype=complex))
         if amps.shape != (self.n + 1,):
@@ -162,7 +162,7 @@ class MajoranaConfig:
     global_phase: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
             raise ValueError(f"point count must be a positive integer, got {self.n!r}")
         pts = np.asarray(self.points, dtype=float)
         if pts.size != 2 * self.n:
@@ -216,7 +216,7 @@ def _axis_angle(mats) -> tuple[np.ndarray, np.ndarray]:
     return np.where(identity[:, None], [0.0, 0.0, 1.0], axes), np.where(identity, 0.0, angles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rotation:
     """Axis-angle rotation of the sphere (right-hand rule, active)."""
 

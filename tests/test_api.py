@@ -4,7 +4,7 @@ import inspect
 from pathlib import Path
 
 import majorana
-from majorana import geometric_measure
+from majorana import four_qubit_table, geometric_measure, slocc_distinguish
 
 PUBLIC = {
     # symstate
@@ -32,7 +32,11 @@ def test_public_names_and_optimizer_fields():
     assert sorted(majorana.__all__) == sorted(PUBLIC)
     for name in majorana.__all__:
         assert getattr(majorana, name) is not None, name
-    assert list(inspect.signature(geometric_measure).parameters) == ["state", "num_starts"]
+    # every answer is a function of its input: the measure has no settings
+    assert list(inspect.signature(geometric_measure).parameters) == ["state"]
+    assert list(inspect.signature(slocc_distinguish).parameters) == [
+        "a", "b", "tol", "ent_a", "ent_b"]
+    assert list(inspect.signature(four_qubit_table).parameters) == []
 
 
 def test_benchmark_workloads_import(monkeypatch):

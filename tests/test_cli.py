@@ -296,23 +296,51 @@ def test_cli_import_leaves_scipy_out():
 def test_exit_code_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys, "gen", "dicke", "--n", "4")[0] == 2
-    # the start set has no seed to set
+    # the start set has no seed and no count to set
     code, _, err = run(capsys, "entangle", "--seed", "1")
     assert code == 2 and "unrecognized arguments: --seed" in err
+    for argv in (["entangle"], ["slocc", "a.json", "b.json"], ["table4"], ["twirl"],
+                 ["plot"]):
+        code, _, err = run(capsys, *argv, "--starts", "8")
+        assert code == 2 and "unrecognized arguments: --starts" in err, argv
 
 
 def test_tol_environment_override(capsys, tmp_path, monkeypatch):
     state = tmp_path / "ghz.json"
     run(capsys, "gen", "ghz", "--n", "4", "-o", str(state))
+    for bad in ("not-a-number", "nan", "inf", "0", "-1e-6"):
+        code, out, err = run(capsys, "symmetry", "-i", str(state), f"--tol={bad}")
+        assert code == 2 and out == "" and "finite and positive" in err, bad
+    code, default, _ = run(capsys, "symmetry", "-i", str(state))
+    assert code == 0 and json.loads(default)["group"] == "D4"
+    assert run(capsys, "symmetry", "-i", str(state), "--tol", "1e-8")[:2] == (0, default)
+    # the environment does not reach the answer
     monkeypatch.setenv("MAJORANA_TOL", "not-a-number")
-    assert run(capsys, "symmetry", "-i", str(state))[0] == 2
-    for bad in ("nan", "inf", "0", "-1e-6"):
-        monkeypatch.setenv("MAJORANA_TOL", bad)
-        assert run(capsys, "symmetry", "-i", str(state))[0] == 2
-        assert run(capsys, "symmetry", "-i", str(state), "--tol", "1e-6")[0] == 0
-        monkeypatch.delenv("MAJORANA_TOL")
-        assert run(capsys, "symmetry", "-i", str(state), f"--tol={bad}")[0] == 2
-    monkeypatch.setenv("MAJORANA_TOL", "1e-8")
-    code, out, _ = run(capsys, "symmetry", "-i", str(state))
-    assert code == 0
-    assert json.loads(out)["group"] == "D4"
+    assert run(capsys, "symmetry", "-i", str(state))[:2] == (0, default)
+
+
+def test_readme_cli_examples_run(tmp_path):
+    # every line of the README's CLI block runs as shown, stage piped to
+    # stage, so a flag the CLI drops cannot live on in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 2)[1]
+    env = dict(os.environ, PYTHONPATH=str(Path(majorana.__file__).resolve().parents[1]))
+    env.pop("MAJORANA_TOL", None)
+
+    def pipeline(line):
+        text = None
+        for stage in line.split("#", 1)[0].split("|"):
+            program, *argv = stage.split()
+            assert program == "majorana", line
+            proc = subprocess.run([sys.executable, "-m", "majorana.cli", *argv],
+                                  input=text, capture_output=True, text=True,
+                                  cwd=tmp_path, env=env, timeout=120)
+            assert proc.returncode == 0, (line, proc.stderr)
+            text = proc.stdout
+
+    pipeline("majorana gen dicke --n 4 --k 2 -o a.json")
+    pipeline("majorana gen ghz --n 4 -o b.json")
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 9
+    for line in lines:
+        pipeline(line)

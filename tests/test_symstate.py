@@ -324,6 +324,23 @@ def test_rotation_from_matrix_rejects_non_rotations():
     assert abs(Rotation.from_matrix(turn).angle - 0.4) < 1e-15
 
 
+def test_rotations_compare_by_identity_and_hash():
+    # an ndarray field cannot take part in dataclass equality, so rotations
+    # compare and hash as objects, like states
+    a, b = Rotation([0.0, 0.0, 1.0], 1.0), Rotation([0.0, 0.0, 1.0], 1.0)
+    assert a == a and not (a != a)
+    assert (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
+
+
+def test_bool_qubit_count_is_refused():
+    # bool is an int subclass; True must not pass for n = 1
+    with pytest.raises(ValueError, match="positive integer"):
+        SymmetricState(True, [1.0, 1.0])
+    with pytest.raises(ValueError, match="positive integer"):
+        MajoranaConfig(True, [[0.1, 0.2]])
+
+
 def test_rotation_compose_inverse():
     rng = np.random.default_rng(5)
     a, b = random_rotation(rng), random_rotation(rng)
