@@ -35,6 +35,8 @@ SOLIDS = ("tetrahedron", "octahedron", "cube", "icosahedron", "dodecahedron")
 # three-fold axis can open into a generic 24-point O orbit.
 MAX_MULTIPLICITY = {"tetrahedron": 2, "octahedron": 3, "cube": 3,
                     "icosahedron": 3, "dodecahedron": 2}
+# Order of each solid's rotation symmetry about z in the orientations above.
+_Z_ORDER = {"tetrahedron": 3, "octahedron": 4, "cube": 4, "icosahedron": 5, "dodecahedron": 2}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,13 +118,21 @@ def platonic_vertices(solid: str) -> np.ndarray:
 
 
 def gen_platonic(solid: str, multiplicity: int = 1) -> SymmetricState:
-    """State whose configuration is `multiplicity` copies of each vertex."""
+    """State whose configuration is `multiplicity` copies of each vertex.
+
+    The turn by 2*pi/m about z that maps the solid onto itself (m in
+    `_Z_ORDER`) multiplies each amplitude a_k by its own phase, so only the
+    a_k with k in the residue class mod m of the largest one are nonzero;
+    the others are set to exact zeros in place of their rounding noise."""
     verts = platonic_vertices(solid)
     cap = MAX_MULTIPLICITY[solid]
     if not 1 <= multiplicity <= cap:
         raise ValueError(f"multiplicity for {solid} must be in 1..{cap}, got {multiplicity}")
     theta, phi = unit_to_angles(np.repeat(verts, multiplicity, axis=0))
-    return to_dicke(MajoranaConfig(len(theta), np.column_stack([theta, phi])))
+    amps = to_dicke(MajoranaConfig(len(theta), np.column_stack([theta, phi]))).amps.copy()
+    k = np.arange(len(amps))
+    amps[(k - np.argmax(np.abs(amps))) % _Z_ORDER[solid] != 0] = 0.0
+    return SymmetricState(len(theta), amps)
 
 
 def totally_invariant_states(n: int) -> list[CatalogEntry]:

@@ -9,15 +9,15 @@ c_i = u.v_i and a_i the chart components of v_i.  One product
 
 `geometric_measure` runs one batched saddle-free Newton ascent (Dauphin et
 al., NeurIPS 2014) from every start at once: a Fibonacci lattice of
-max(32, n^2) points, a function of n alone.  No start is placed on
-the antipode of a configuration point: F vanishes there, and near a zero
-the Newton step is about as long as the distance to it, so such a start
-only doubles that distance per sweep and would set the sweep count.  Nor
-on the points themselves, which are zeros too whenever the configuration
-is centrally symmetric (GHZ, the octahedron, cube, icosahedron and
-dodecahedron).  Each start steps by sum_k (g.v_k) / |lambda_k| v_k over
-the eigenpairs of its 2x2 chart Hessian, clipped to 0.5 rad, so it climbs
-out of saddles and minima and does not zig-zag in ill-conditioned valleys.
+max(32, n^2) points, a function of n alone.  A start may sit on a zero
+of F (the antipode of a configuration point, or the point itself when the
+configuration is centrally symmetric), where the Newton step is about as
+long as the distance to the zero, so it would only double that distance
+per sweep; successive halving (below) drops such a start after its first
+sweep, so none is moved off the lattice.  Each start steps by
+sum_k (g.v_k) / |lambda_k| v_k over the eigenpairs of its 2x2 chart
+Hessian, clipped to 0.5 rad, so it climbs out of saddles and minima and
+does not zig-zag in ill-conditioned valleys.
 Accept decisions compare sum_i log p_i, which is monotone in F.  A start
 drops out once its gradient is at most 1e-8, or once its log value has
 gained at most 1e-9 for three sweeps in a row.  After each sweep only the
@@ -67,7 +67,6 @@ from .symstate import (
     TWO_PI,
     MajoranaConfig,
     SymmetricState,
-    Rotation,
     _binomial_rows,
     _check_angles,
     _spinors,
@@ -124,12 +123,6 @@ _VALUE_TIE = 4.0 * np.finfo(float).eps
 # between psi and psi_+, so sqrt(Lambda) - |<u|psi>| <= 2 delta and
 # Lambda - |<u|psi>|^2 <= 4 delta.  On the catalog delta is at most 2.7e-16.
 _MERIDIAN_TOL = 1e-14
-# A start within _ANTIPODE_P of an antipode is turned off it by this fixed
-# 1e-3 rad rotation about a generic axis: at the antipode itself the
-# `_chart_terms` weights 1/(2 p_i) reach 5e149.
-_ANTIPODE_P = 1e-9
-_ANTIPODE_NUDGE = Rotation([0.7696741376445092, 0.0800898974604638, -0.6333935034131261],
-                           1e-3)
 
 
 @dataclass(frozen=True)
@@ -334,18 +327,6 @@ def _best_refined(amps: np.ndarray, mp_units: np.ndarray,
     return units[best], float(values[best]), float(gnorms[best])
 
 
-def _start_points(config_units: np.ndarray, count: int) -> np.ndarray:
-    """The Fibonacci lattice of `count` points.  No start goes on an
-    antipode of a configuration point: F vanishes there, and a start near a
-    zero only doubles its distance from it per sweep."""
-    starts = fibonacci_sphere(count)
-    bad = (0.5 * (1.0 + starts @ config_units.T)).min(axis=1) <= _ANTIPODE_P
-    if bad.any():
-        starts[bad] = _ANTIPODE_NUDGE.apply(starts[bad])
-        starts[bad] /= np.linalg.norm(starts[bad], axis=1)[:, None]
-    return starts
-
-
 def _meridian_turn(amps: np.ndarray) -> float | None:
     """The z-turn beta that makes the amplitudes non-negative up to a global
     phase alpha, or None.
@@ -422,7 +403,7 @@ def geometric_measure(state: SymmetricState) -> EntanglementResult:
                                                            best_u[None, :])
         return _make_result(best_value, unit_to_angles(best_u), 0,
                             best_gnorm <= _POLISH_GRADIENT_TOL, best_gnorm, 0, config)
-    starts = _start_points(mp_units, max(32, state.n * state.n))
+    starts = fibonacci_sphere(max(32, state.n * state.n))
     units, _, sweeps = _newton_ascent(mp_units, starts, _ASCENT_GRADIENT_TOL, _MAX_SWEEPS)
     winners = _distinct_winners(units, _overlap_sq(state.amps, units))
     best_u, best_value, best_gnorm = _best_refined(state.amps, mp_units, units[winners])

@@ -17,9 +17,8 @@ angles of the whole stack at once (`symstate._axis_angle`), sorts it into
 element order, and bins the axes by line (the bin of the first rotation
 whose axis lies within the census threshold); the group and bin orders
 name the kind, and D_m also needs its turns to be powers of 2*pi/m.  The
-report keeps the sorted stack, builds its `Rotation` elements from it,
-and decides `contains_dihedral`, so it cannot contradict the detected
-label.
+report's `elements` are that sorted stack, read-only, and
+`contains_dihedral` reads the detected label, so it cannot contradict it.
 
 The report also carries the total-invariance verdict (`totally_invariant`,
 with a `witness` string), read off each site's stabiliser order: how many
@@ -46,7 +45,7 @@ name; the pattern verdict is kept because the catalog is built on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,29 +80,31 @@ _SIGN_TIE = 1e-9
 # Candidate rotations tested at once in `_list_group` (whose temporaries
 # hold block * sites^2 dot products).
 _CANDIDATE_BLOCK = 32
+# The element stack of the continuous kinds.
+_NO_ELEMENTS = np.empty((0, 3, 3))
+_NO_ELEMENTS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
 class SymmetryReport:
     """Detected symmetry group of a configuration.
 
-    `order` is m for cyclic/dihedral kinds and 0 otherwise.  `elements`
-    lists every rotation of a finite group (identity included); it is
-    empty for the continuous kinds.  `axis` is the principal axis where
-    one exists (the shared axis for axial kinds, the point direction for
-    the all-coincident case, the highest-order axis for polyhedral kinds).
+    `order` is m for cyclic/dihedral kinds and 0 otherwise.  `elements` is
+    a finite group's read-only (G, 3, 3) stack of rotation matrices,
+    identity first, then by angle and axis; it has no rows for the
+    continuous kinds.  `generators` are `Rotation`s.  `axis` is the
+    principal axis where one exists (the shared axis for axial kinds, the
+    point direction for the all-coincident case, the highest-order axis
+    for polyhedral kinds).
     """
 
     kind: str
     order: int
     axis: np.ndarray | None
     generators: tuple[Rotation, ...]
-    elements: tuple[Rotation, ...]
+    elements: np.ndarray
     totally_invariant: bool
     witness: str
-    # A finite group's (G, 3, 3) rotation stack in element order; None for
-    # the continuous kinds.
-    _mats: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def label(self) -> str:
@@ -200,14 +201,6 @@ def _element_order(mats: np.ndarray):
     return mats[order], axes[order], angles[order]
 
 
-def _finite_report(kind: str, order: int, principal, generators, mats, axes, angles):
-    """A finite group's report, its elements built from the sorted stack, via
-    a list: `tuple` of an iterator builds by resizing, which left the heap
-    about 35 bytes larger per detection over long runs."""
-    elements = tuple([Rotation(axis, angle) for axis, angle in zip(axes, angles)])
-    return SymmetryReport(kind, order, principal, generators, elements, False, "", mats)
-
-
 # The polyhedral groups by (order, largest axis order) in the census.
 _POLYHEDRAL_CENSUS = {(12, 3): TETRAHEDRAL, (24, 4): OCTAHEDRAL, (60, 5): ICOSAHEDRAL}
 
@@ -218,12 +211,13 @@ def _is_power(angles: np.ndarray, m: int, mat_tol: float) -> bool:
     return bool(np.all(np.abs(angles - step * np.round(angles / step)) <= mat_tol))
 
 
-def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL) -> SymmetryReport:
+def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
     """Census of the closed rotation stack (identity first, nothing else within
-    `mat_tol` of it): the report of its group, verdict not yet filled in."""
+    `mat_tol` of it): its group's kind, order, principal axis, generators and
+    stack in element order."""
     mats, axes, angles = _element_order(mats)
     if len(mats) == 1:
-        return _finite_report(TRIVIAL, 0, None, (), mats, axes, angles)
+        return TRIVIAL, 0, None, (), mats
     bins = _axis_bins(axes[1:], mat_tol)
     size = len(mats)
     principal = bins[0]["axis"]
@@ -235,13 +229,13 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL) -> S
     if (size == 2 * top and others_are_perpendicular_flips and len(bins) == top + 1
             and _is_power(turns, top, mat_tol)):
         generators = (Rotation(principal, TWO_PI / top), Rotation(bins[1]["axis"], math.pi))
-        return _finite_report(DIHEDRAL, top, principal, generators, mats, axes, angles)
+        return DIHEDRAL, top, principal, generators, mats
     kind = _POLYHEDRAL_CENSUS.get((size, top))
     if kind is not None:
         second = next(e for e in bins[1:] if abs(float(e["axis"] @ principal)) < 0.999)
         generators = (Rotation(principal, TWO_PI / top),
                       Rotation(second["axis"], TWO_PI / second["order"]))
-        return _finite_report(kind, 0, principal, generators, mats, axes, angles)
+        return kind, 0, principal, generators, mats
     # One axis, or an incomplete census (tolerance drift) degraded to the
     # best cyclic subgroup rather than a guess.  Sites closer than 2 tol let
     # near-rotations pass as symmetries, but a cyclic group never has more
@@ -252,33 +246,34 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL) -> S
         order = max(next((m for m in range(2, site_count + 1)
                           if _is_power(turn, m, mat_tol)), 1) for turn in turns)
     if order == 1:
-        return _finite_report(TRIVIAL, 0, None, (), mats[:1], axes[:1], angles[:1])
+        return TRIVIAL, 0, None, (), mats[:1]
     powers = np.stack([Rotation(principal, TWO_PI * k / order).matrix() for k in range(order)])
-    return _finite_report(CYCLIC, order, principal, (Rotation(principal, TWO_PI / order),),
-                          *_element_order(powers))
+    return (CYCLIC, order, principal, (Rotation(principal, TWO_PI / order),),
+            _element_order(powers)[0])
 
 
 def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> SymmetryReport:
     """Largest rotation group permuting the configuration's point multiset."""
     sites, mult = site_decomposition(config.unit_vectors(), tol)
+    order, generators, elements = 0, (), _NO_ELEMENTS
     if len(sites) == 1:
-        report = SymmetryReport(SO3, 0, sites[0], (), (), False, "")
+        kind, axis = SO3, sites[0]
     elif len(sites) == 2 and float(sites[0] @ sites[1]) <= -math.cos(tol):
         axis = _canonical_axis(sites[0])
         north = mult[0] if float(sites[0] @ axis) > 0 else mult[1]
-        south = mult.sum() - north
-        if north == south:
-            flip = Rotation(_perpendicular(axis), math.pi)
-            report = SymmetryReport(O2, 0, axis, (flip,), (), False, "")
+        if 2 * north == mult.sum():
+            kind, generators = O2, (Rotation(_perpendicular(axis), math.pi),)
         else:
-            report = SymmetryReport(SO2, 0, axis, (), (), False, "")
+            kind = SO2
     else:
         # At loose site tolerances the listed matrices carry comparable
         # error, so the census threshold has to widen with them.
         mat_tol = max(_MAT_TOL, 4.0 * tol)
-        report = _classify(_list_group(sites, mult, tol), len(sites), mat_tol)
-    invariant, witness = _invariance(config.n, report, sites, mult, tol)
-    return replace(report, totally_invariant=invariant, witness=witness)
+        kind, order, axis, generators, elements = _classify(_list_group(sites, mult, tol),
+                                                            len(sites), mat_tol)
+        elements.flags.writeable = False
+    invariant, witness = _invariance(config.n, kind, order, axis, elements, sites, mult, tol)
+    return SymmetryReport(kind, order, axis, generators, elements, invariant, witness)
 
 
 def _ti_axial(n: int, axis: np.ndarray, sites: np.ndarray, mult: np.ndarray):
@@ -351,25 +346,24 @@ def _ti_polyhedral(n: int, kind: str, principal: np.ndarray, sites: np.ndarray,
                                                 for name in names)
 
 
-def _invariance(n: int, report: SymmetryReport, sites: np.ndarray, mult: np.ndarray,
-                tol: float) -> tuple[bool, str]:
+def _invariance(n: int, kind: str, order: int, axis: np.ndarray | None, mats: np.ndarray,
+                sites: np.ndarray, mult: np.ndarray, tol: float) -> tuple[bool, str]:
     """Total-invariance verdict and witness from the sites and, for the
-    finite groups, the report's rotation stack."""
-    kind = report.kind
+    finite groups, the group's rotation stack."""
     if kind == SO3:
         return False, ("all points coincident (a product state); the cluster "
                        "can move rigidly without losing any symmetry")
     if kind == TRIVIAL:
         return False, "no nontrivial rotational symmetry"
     if kind == CYCLIC:
-        return False, (f"C{report.order} constrains only azimuths: latitude "
+        return False, (f"C{order} constrains only azimuths: latitude "
                        "rings can slide along the axis without breaking it")
     if kind in (SO2, O2):
-        return _ti_axial(n, report.axis, sites, mult)
-    orders = _stabiliser_orders(sites, report._mats, tol)
+        return _ti_axial(n, axis, sites, mult)
+    orders = _stabiliser_orders(sites, mats, tol)
     if kind == DIHEDRAL:
-        return _ti_dihedral(report.order, orders, mult)
-    return _ti_polyhedral(n, kind, report.axis, sites, report._mats, orders, mult, tol)
+        return _ti_dihedral(order, orders, mult)
+    return _ti_polyhedral(n, kind, axis, sites, mats, orders, mult, tol)
 
 
 # The dihedral orders D_m that each polyhedral group contains.

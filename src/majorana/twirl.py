@@ -4,13 +4,13 @@ certificate.
 Everything lives in the (n+1)-dimensional symmetric subspace: product
 states along a direction are the coherent vectors, rotations act through
 their Wigner matrices, one (G, n+1, n+1) stack per group built from the
-elements' axes and angles (`symstate._wigner_stack`), and averaging a
-maximizing product state over the detected symmetry group yields an
-invariant separable operator omega.  Operators are plain Dicke-basis
-arrays: `group_average` returns omega and the Wigner stack, and
-`certify_equivalence` takes the trace, the least eigenvalue and the
-expectation in psi of the residual directly; every matrix they read is
-one the module built itself.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
+axes and angles of its (G, 3, 3) element stack (`symstate._axis_angle`,
+`symstate._wigner_stack`), and averaging a maximizing product state over
+the detected symmetry group yields an invariant separable operator omega.
+Operators are plain Dicke-basis arrays: `group_average` returns omega and
+the Wigner stack, and `certify_equivalence` takes the trace, the least
+eigenvalue and the expectation in psi of the residual directly; every
+matrix they read is one the module built itself.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
 is a density matrix with no component on psi, then omega has the split that
 pins three entanglement measures of psi to the common value -log2(Lambda).
 
@@ -35,7 +35,8 @@ import numpy as np
 
 from .entanglement import EntanglementResult
 from .symmetry import O2, SO2, SO3, TRIVIAL, SymmetryReport
-from .symstate import SymmetricState, _frame, _wigner_stack, coherent_amplitudes, wigner_rotation
+from .symstate import (SymmetricState, _axis_angle, _frame, _wigner_stack, coherent_amplitudes,
+                       wigner_rotation)
 
 OVERLAP_TOL = 1e-6
 PSD_TOL = 1e-9
@@ -68,7 +69,7 @@ def group_average(direction: tuple[float, float], group: SymmetryReport,
     `direction` over the group action, with the stacked Wigner matrices of a
     discrete group's elements (None for the axial kinds).
 
-    Discrete groups average their element list; the axial groups dephase
+    Discrete groups average their element stack; the axial groups dephase
     in the excitation basis of the axis (the closed form of the continuous
     average), with an extra flip average for the variant that has one.  The
     result is an invariant convex mixture of product states, so it is
@@ -89,9 +90,9 @@ def group_average(direction: tuple[float, float], group: SymmetryReport,
             flip = wigner_rotation(n, group.generators[0])
             omega = 0.5 * (omega + flip @ omega @ flip.conj().T)
         return omega, None
-    if not group.elements:
-        raise ValueError(f"group kind {group.kind!r} carries no element list")
-    mats = _wigner_stack(n, [g.axis for g in group.elements], [g.angle for g in group.elements])
+    if not len(group.elements):
+        raise ValueError(f"group kind {group.kind!r} carries no element stack")
+    mats = _wigner_stack(n, *_axis_angle(group.elements))
     orbit = mats @ vec
     return orbit.T @ orbit.conj() / len(mats), mats
 

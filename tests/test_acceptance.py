@@ -129,12 +129,14 @@ def isotypic_multiplicity(state, report) -> int:
     """Dimension of the symmetric states that transform like psi under the
     group: the trace of (1/|G|) sum_g conj(chi_g) D(g), chi_g = <psi|D(g)|psi>.
 
-    The axial kinds carry no element list; their cyclic subgroup of order
-    n+1 about the axis already gives every Jz eigenvalue its own character,
-    so its multiplicity, an upper bound for the whole group's, is used.
+    Each element's Wigner matrix is built on its own, from the `Rotation`
+    of its matrix.  The axial kinds carry no element stack; their cyclic
+    subgroup of order n+1 about the axis already gives every Jz eigenvalue
+    its own character, so its multiplicity, an upper bound for the whole
+    group's, is used.
     """
     n = state.n
-    elements = report.elements
+    elements = [Rotation.from_matrix(mat) for mat in report.elements]
     if not elements:
         elements = [Rotation(report.axis, 2 * math.pi * j / (n + 1)) for j in range(n + 1)]
     total = 0j
@@ -151,8 +153,7 @@ def distance_from_orbit_span(state, direction, report) -> float:
     unit = np.array([math.sin(theta) * math.cos(phi),
                      math.sin(theta) * math.sin(phi), math.cos(theta)])
     columns = []
-    for element in report.elements:
-        x, y, z = element.apply(unit)
+    for x, y, z in report.elements @ unit:
         columns.append(coherent_amplitudes(state.n, math.acos(np.clip(z, -1.0, 1.0)),
                                            math.atan2(y, x)))
     span = np.array(columns).T

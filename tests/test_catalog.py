@@ -8,6 +8,7 @@ from majorana import (
     config_close,
     detect_group,
     geometric_measure,
+    grid_oracle,
     state_fidelity,
     to_dicke,
     to_majorana,
@@ -24,6 +25,7 @@ from majorana.catalog import (
     platonic_vertices,
     totally_invariant_states,
 )
+from majorana.symstate import unit_to_angles
 
 
 def test_dicke_amplitudes_one_hot():
@@ -99,6 +101,27 @@ def test_platonic_multiplicity_caps():
         gen_platonic("dodecahedron", 3)
     with pytest.raises(ValueError):
         gen_platonic("nonagon")
+
+
+def test_platonic_amplitudes_keep_one_residue_class():
+    # the solid's turn by 2 pi/m about z leaves nonzero amplitudes only at
+    # k in one class mod m; the rest are exact zeros, so the octahedron and
+    # cube with three points per vertex take their maximum off one meridian
+    z_order = {"tetrahedron": 3, "octahedron": 4, "cube": 4, "icosahedron": 5,
+               "dodecahedron": 2}
+    for solid in SOLIDS:
+        for mult in range(1, MAX_MULTIPLICITY[solid] + 1):
+            state = gen_platonic(solid, mult)
+            theta, phi = unit_to_angles(np.repeat(platonic_vertices(solid), mult, axis=0))
+            roots = to_dicke(MajoranaConfig(state.n, np.column_stack([theta, phi])))
+            assert state_fidelity(state, roots) >= 1.0 - 1e-12, (solid, mult)
+            classes = set(np.flatnonzero(state.amps) % z_order[solid])
+            assert len(classes) == 1, (solid, mult, classes)
+    for solid in ("octahedron", "cube"):
+        state = gen_platonic(solid, 3)
+        result = geometric_measure(state)
+        assert (result.starts_used, result.iterations, result.converged) == (0, 0, True)
+        assert abs(result.lam - grid_oracle(state, 300).lam) <= 1e-12, solid
 
 
 def test_octahedron_equals_rotated_dihedral():

@@ -27,7 +27,7 @@ from majorana.catalog import (
     gen_tetrahedral,
     totally_invariant_states,
 )
-from majorana.entanglement import _MAX_SWEEPS, _frames, _start_points, fibonacci_sphere
+from majorana.entanglement import _MAX_SWEEPS, _frames, fibonacci_sphere
 from majorana.symstate import unit_to_angles
 
 from helpers import random_rotation
@@ -158,7 +158,7 @@ def test_optimizer_matches_oracle_past_thirty_points():
         group = detect_group(to_majorana(gen_platonic(solid)))
         for _ in range(2):
             u = rng.standard_normal(3)
-            orbit = np.array([g.apply(u / np.linalg.norm(u)) for g in group.elements])
+            orbit = group.elements @ (u / np.linalg.norm(u))
             theta, phi = unit_to_angles(orbit)
             states.append(to_dicke(MajoranaConfig(len(orbit), np.column_stack([theta, phi]))))
     for i, state in enumerate(states):
@@ -308,22 +308,17 @@ def test_near_coincident_cluster_counts_as_product():
 
 
 def test_start_set_is_the_lattice():
-    # the starts are a function of n alone: the Fibonacci lattice, unchanged
-    # where no start sits on an antipode of a configuration point
+    # the starts are a function of n alone: the Fibonacci lattice of
+    # max(32, n^2) points
     for state in (rotate_state(gen_ghz(4), GENERIC_TURN), gen_platonic("icosahedron"),
                   random_symmetric_state(20, np.random.default_rng(20))):
         result = geometric_measure(state)
-        count = max(32, state.n ** 2)
-        assert result.starts_used == count, state.n
-        units = result.config.unit_vectors()
-        lattice = fibonacci_sphere(count)
-        assert (0.5 * (1.0 + lattice @ units.T)).min() > 1e-9, state.n
-        assert np.array_equal(_start_points(units, count), lattice), state.n
+        assert result.starts_used == max(32, state.n ** 2), state.n
 
 
 def test_start_on_an_antipode_is_nudged_off_it():
     # one point opposite lattice start 5 of the n = 4 lattice: that start
-    # sits on a zero of F until the start set rotates it away
+    # sits on a zero of F, and successive halving drops it after one sweep
     rng = np.random.default_rng(4)
     extras = rng.standard_normal((3, 3))
     extras /= np.linalg.norm(extras, axis=1)[:, None]
@@ -331,8 +326,6 @@ def test_start_on_an_antipode_is_nudged_off_it():
     state = to_dicke(MajoranaConfig(4, np.column_stack([theta, phi])))
     units = to_majorana(state).unit_vectors()
     assert (0.5 * (1.0 + fibonacci_sphere(32) @ units.T)).min() <= 1e-9
-    starts = _start_points(units, 32)
-    assert (0.5 * (1.0 + starts @ units.T)).min() > 1e-9
     result = geometric_measure(state)
     assert result.converged
     assert abs(result.lam - grid_oracle(state, 300).lam) < 1e-8

@@ -24,7 +24,8 @@ from majorana.catalog import (
     gen_tetrahedral,
     platonic_vertices,
 )
-from majorana.symstate import COINCIDENCE_TOL, Rotation, site_decomposition, unit_to_angles
+from majorana.symstate import (COINCIDENCE_TOL, Rotation, _axis_angle, site_decomposition,
+                               unit_to_angles)
 
 from helpers import (PRODUCT_THETAS, perturb_config, product_states, random_rotation,
                      rotate_points)
@@ -185,15 +186,33 @@ def test_is_totally_invariant_witness_strings():
 
 
 def test_group_closure_is_complete():
-    # products of any two detected elements stay in the detected set
-    for state in (gen_ghz(4), gen_platonic("octahedron"), gen_tetrahedral()):
-        report = detect_group(_config(state))
-        mats = [e.matrix() for e in report.elements]
-        for a in mats[:6]:
-            for b in mats[:6]:
-                prod = a @ b
-                errs = [np.abs(prod - m).sum() for m in mats]
-                assert min(errs) < 1e-9
+    # the element stack is read-only and starts with the exact identity,
+    # products of any two elements stay in it, and each site's stabiliser
+    # order times its orbit's size is the group order; the continuous kinds
+    # list no elements
+    reference = _reference_configs()
+    configs = ([_config(state) for state in (gen_ghz(4), gen_platonic("octahedron"),
+                                             gen_tetrahedral())]
+               + reference + _catalog_configs())
+    assert len(configs) == 3 + len(reference) + 144
+    finite = 0
+    for cfg in configs:
+        report = detect_group(cfg)
+        mats = report.elements
+        assert mats.shape[1:] == (3, 3) and not mats.flags.writeable
+        if not len(mats):
+            assert report.kind in (symmetry.SO2, symmetry.O2, symmetry.SO3)
+            continue
+        finite += 1
+        assert np.array_equal(mats[0], np.eye(3))
+        products = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 1, 3, 3)
+        assert np.abs(products - mats[None]).max(axis=(2, 3)).min(axis=1).max() <= 1e-12
+        sites, _ = site_decomposition(cfg.unit_vectors(), COINCIDENCE_TOL)
+        orders = symmetry._stabiliser_orders(sites, mats, COINCIDENCE_TOL)
+        images = np.argmax((sites @ mats.transpose(0, 2, 1)) @ sites.T, axis=2)
+        orbits = [len(set(images[:, i])) for i in range(len(sites))]
+        np.testing.assert_array_equal(orders * orbits, len(mats))
+    assert finite >= 57
 
 
 def test_contains_dihedral():
@@ -311,8 +330,8 @@ def test_dihedral_label_agrees_with_its_listed_turns():
             report = detect_group(_nudge(cfg, index, 1e-5, math.pi * j / 6), 1e-5)
             labels.add(report.label)
             if report.kind == symmetry.DIHEDRAL:
-                turns = np.array([r.angle for r in report.elements[1:]
-                                  if abs(r.axis @ report.axis) >= math.cos(1e-3)])
+                axes, angles = _axis_angle(report.elements[1:])
+                turns = angles[np.abs(axes @ report.axis) >= math.cos(1e-3)]
                 step = 2 * math.pi / report.order
                 assert np.all(np.abs(turns - step * np.round(turns / step)) <= 1e-3)
     assert labels == {"Trivial", "C2", "C5"}
@@ -324,12 +343,10 @@ def test_cyclic_fallback_takes_its_order_from_the_listed_turns():
     # cyclic group on three sites, so nothing is reported
     z = np.array([0.0, 0.0, 1.0])
     fifths = np.stack([np.eye(3)] + [Rotation(z, 2 * math.pi * k / 5).matrix() for k in (1, 2)])
-    report = symmetry._classify(fifths, 7)
-    kind, order, elements = report.kind, report.order, report.elements
+    kind, order, _, _, elements = symmetry._classify(fifths, 7)
     assert (kind, order, len(elements)) == (symmetry.CYCLIC, 5, 5)
     near = np.stack([np.eye(3), Rotation(z, 0.26).matrix()])
-    report = symmetry._classify(near, 3)
-    kind, order, elements = report.kind, report.order, report.elements
+    kind, order, _, _, elements = symmetry._classify(near, 3)
     assert (kind, order, len(elements)) == (symmetry.TRIVIAL, 0, 1)
 
 
@@ -344,10 +361,10 @@ def _canonical_axis_loop(v):
     return -v if lead < 0 else v.copy()
 
 
-def _axis_bins_loop(rotations, axis_tol):
+def _axis_bins_loop(axes, axis_tol):
     bins = []
-    for rot in rotations:
-        axis = _canonical_axis_loop(rot.axis)
+    for axis in axes:
+        axis = _canonical_axis_loop(axis)
         for entry in bins:
             if abs(float(entry["axis"] @ axis)) >= math.cos(axis_tol):
                 entry["count"] += 1
@@ -362,7 +379,7 @@ def _orbit_config(elements, rng, orbits=1):
     vecs = []
     for _ in range(orbits):
         v = rng.normal(size=3)
-        vecs += [e.apply(v / np.linalg.norm(v)) for e in elements]
+        vecs += list(elements @ (v / np.linalg.norm(v)))
     theta, phi = unit_to_angles(np.array(vecs))
     return MajoranaConfig(len(vecs), np.column_stack([theta, phi]))
 
@@ -384,9 +401,9 @@ def test_axis_bins_match_greedy_loop():
         mat_tol = max(symmetry._MAT_TOL, 4.0 * 1e-6)
         report = detect_group(cfg)
         # the census bins the reported elements as the loop did
-        nonid = report.elements[1:]
-        bins = symmetry._axis_bins(np.array([rot.axis for rot in nonid]), mat_tol)
-        expected = sorted(_axis_bins_loop(nonid, mat_tol),
+        axes, _ = _axis_angle(report.elements[1:])
+        bins = symmetry._axis_bins(axes, mat_tol)
+        expected = sorted(_axis_bins_loop(axes, mat_tol),
                           key=lambda e: (-e[1], tuple(np.round(-e[0], 9))))
         assert [e["count"] for e in bins] == [count for _, count in expected]
         for entry, (axis, _) in zip(bins, expected):
@@ -398,32 +415,6 @@ def _catalog_configs():
     states = [entry.state for n in range(3, 15) for entry in totally_invariant_states(n)]
     states += [gen_platonic(solid) for solid in ("cube", "icosahedron", "dodecahedron")]
     return [_config(state) for state in states]
-
-
-def test_report_stack_is_its_elements():
-    # the report's private stack starts with the exact identity, lists the
-    # elements' matrices in element order, is closed under products, and
-    # gives each site the stabiliser order that the element matrices give
-    configs = _reference_configs() + _catalog_configs()
-    assert len(configs) == len(_reference_configs()) + 144
-    finite = 0
-    for cfg in configs:
-        report = detect_group(cfg)
-        if not report.elements:
-            assert report._mats is None
-            continue
-        finite += 1
-        mats = report._mats
-        assert np.array_equal(mats[0], np.eye(3))
-        matrices = np.array([element.matrix() for element in report.elements])
-        np.testing.assert_allclose(mats, matrices, rtol=0, atol=1e-14)
-        products = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 1, 3, 3)
-        assert np.abs(products - mats[None]).max(axis=(2, 3)).min(axis=1).max() <= 1e-12
-        sites, _ = site_decomposition(cfg.unit_vectors(), COINCIDENCE_TOL)
-        np.testing.assert_array_equal(
-            symmetry._stabiliser_orders(sites, mats, COINCIDENCE_TOL),
-            symmetry._stabiliser_orders(sites, matrices, COINCIDENCE_TOL))
-    assert finite >= 54
 
 
 def _closed_group(generators):
@@ -470,7 +461,7 @@ def test_detection_matches_known_groups():
             theta, phi = unit_to_angles(vecs)
             report = detect_group(MajoranaConfig(len(vecs), np.column_stack([theta, phi])))
             assert report.label == label, (label, orbits)
-            found = np.array([e.matrix() for e in report.elements])
+            found = report.elements
             expected = turn @ group @ turn.T
             assert found.shape == expected.shape, (label, orbits)
             gaps = np.abs(found[:, None] - expected[None]).max(axis=(2, 3))
@@ -492,6 +483,19 @@ def test_sixty_four_points():
     assert report.order <= 64
 
 
+def _assert_same_elements(noisy, expected, trial=None):
+    """The census of `noisy` lists the rotations of `expected` (an
+    `_element_order` of the clean stack) in the same order, with the same
+    axes and angles."""
+    want_mats, want_axes, want_angles = expected
+    stack = symmetry._classify(noisy, len(noisy))[4]
+    _, axes, angles = symmetry._element_order(noisy)
+    assert len(stack) == len(want_mats), trial
+    np.testing.assert_allclose(stack, want_mats, rtol=0, atol=1e-12)
+    assert np.abs(angles - want_angles).max() < 1e-12, trial
+    np.testing.assert_allclose(axes, want_axes, rtol=0, atol=1e-12)
+
+
 def test_half_turn_axes_ignore_rounding_noise():
     # at angle pi the quaternion's w is rounding noise: a +-1e-15
     # antisymmetric term flips its sign, which must not flip the axis
@@ -499,18 +503,14 @@ def test_half_turn_axes_ignore_rounding_noise():
     for state in (gen_platonic("octahedron"), gen_platonic("icosahedron"),
                   gen_tetrahedral(), gen_dihedral(8, 2)):
         report = detect_group(_config(state))
-        mats = np.array([rot.matrix() for rot in report.elements])
-        half_turns = [abs(rot.angle - math.pi) < 1e-6 for rot in report.elements]
+        mats = report.elements
+        half_turns = np.abs(_axis_angle(mats)[1] - math.pi) < 1e-6
         assert any(half_turns)
-        expected = symmetry._classify(mats, len(mats)).elements
+        expected = symmetry._element_order(mats)
         for sign in (1.0, -1.0):
             noisy = mats.copy()
             noisy[half_turns] += sign * 1e-15 * skew
-            elements = symmetry._classify(noisy, len(noisy)).elements
-            assert len(elements) == len(expected)
-            for got, want in zip(elements, expected):
-                assert abs(got.angle - want.angle) < 1e-12
-                np.testing.assert_allclose(got.axis, want.axis, rtol=0, atol=1e-12)
+            _assert_same_elements(noisy, expected)
 
 
 def test_half_turn_order_survives_seeded_noise():
@@ -519,17 +519,13 @@ def test_half_turn_order_survives_seeded_noise():
     rng = np.random.default_rng(1215)
     for state in (gen_platonic("octahedron"), gen_platonic("cube"), gen_dihedral(8, 2)):
         report = detect_group(_config(state))
-        mats = np.array([rot.matrix() for rot in report.elements])
-        half_turns = np.array([abs(rot.angle - math.pi) < 1e-6 for rot in report.elements])
-        expected = symmetry._classify(mats, len(mats)).elements
+        mats = report.elements
+        half_turns = np.abs(_axis_angle(mats)[1] - math.pi) < 1e-6
+        expected = symmetry._element_order(mats)
         for trial in range(200):
             noisy = mats.copy()
             noisy[half_turns] += 1e-15 * rng.standard_normal((half_turns.sum(), 3, 3))
-            elements = symmetry._classify(noisy, len(noisy)).elements
-            assert len(elements) == len(expected)
-            for got, want in zip(elements, expected):
-                assert abs(got.angle - want.angle) < 1e-12, trial
-                np.testing.assert_allclose(got.axis, want.axis, rtol=0, atol=1e-12)
+            _assert_same_elements(noisy, expected, trial)
 
 
 def test_cyclic_fallback_lists_its_group():
@@ -539,8 +535,8 @@ def test_cyclic_fallback_lists_its_group():
     report = detect_group(_config(gen_ghz(64)), tol=tol)
     assert report.kind == symmetry.CYCLIC
     assert len(report.elements) == report.order <= 64
-    assert report.elements[0].angle == 0.0
-    mats = np.stack([element.matrix() for element in report.elements])
+    mats = report.elements
+    assert np.array_equal(mats[0], np.eye(3))
     products = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 1, 3, 3)
     gaps = np.abs(products - mats[None]).max(axis=(2, 3)).min(axis=1)
     assert gaps.max() <= max(symmetry._MAT_TOL, 4.0 * tol)
@@ -636,8 +632,7 @@ def test_stabiliser_orders():
     rng = np.random.default_rng(13)
     cube = platonic_vertices("cube")
     point = rng.normal(size=3)
-    generic = np.array([e.apply(point / np.linalg.norm(point))
-                        for e in detect_group(_config_of(cube)).elements])
+    generic = detect_group(_config_of(cube)).elements @ (point / np.linalg.norm(point))
     cases = [(platonic_vertices("tetrahedron"), 3), (cube, 3),
              (platonic_vertices("dodecahedron"), 3), (platonic_vertices("octahedron"), 4),
              (platonic_vertices("icosahedron"), 5), (_cuboctahedron(), 2), (generic, 1)]

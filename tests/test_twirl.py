@@ -21,7 +21,7 @@ from majorana import (
     MajoranaConfig,
 )
 from majorana.catalog import gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
-from majorana.symstate import spin_matrices
+from majorana.symstate import _axis_angle, _wigner_stack, spin_matrices
 from majorana.twirl import group_average
 
 from helpers import random_rotation
@@ -114,26 +114,32 @@ def test_group_average_discrete_properties():
     assert abs(np.trace(omega).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(omega)[0] > -1e-12
     # invariance: conjugating by any group element leaves omega fixed
-    for rot in report.elements[:4]:
-        d = wigner_rotation(4, rot)
+    for mat in report.elements[:4]:
+        d = wigner_rotation(4, Rotation.from_matrix(mat))
         conj = d @ omega @ d.conj().T
         np.testing.assert_allclose(conj, omega, atol=1e-10)
 
 
 def test_group_average_discrete_matches_element_loop():
-    # the stacked average equals the element-by-element sum of D P D^dagger
+    # the stacked average equals the element-by-element sum of D P D^dagger;
+    # each stacked Wigner matrix is the one-rotation matrix of its axis and
+    # angle, and within rounding that of its element's `Rotation` (whose
+    # constructor renormalises the axis, moving it by up to an ulp)
     for state in (gen_ghz(5), gen_tetrahedral(), gen_dihedral(9, 3)):
         n = state.n
         ent = geometric_measure(state)
         report = detect_group(to_majorana(state))
         vec = coherent_amplitudes(n, ent.theta, ent.phi)
         projector = np.outer(vec, vec.conj())
+        rotations = [Rotation.from_matrix(mat) for mat in report.elements]
         expected = sum(wigner_rotation(n, g) @ projector @ wigner_rotation(n, g).conj().T
-                       for g in report.elements) / len(report.elements)
+                       for g in rotations) / len(rotations)
         omega, mats = group_average((ent.theta, ent.phi), report, n)
         np.testing.assert_allclose(omega, expected, atol=1e-13)
-        for mat, g in zip(mats, report.elements):
-            np.testing.assert_array_equal(mat, wigner_rotation(n, g))
+        axes, angles = _axis_angle(report.elements)
+        for i, (mat, g) in enumerate(zip(mats, rotations)):
+            np.testing.assert_array_equal(mat, _wigner_stack(n, axes[i:i + 1], angles[i:i + 1])[0])
+            np.testing.assert_allclose(mat, wigner_rotation(n, g), rtol=0, atol=1e-14)
 
 
 def test_group_average_rejects_useless_groups():
