@@ -10,9 +10,11 @@ states, whose n points `to_majorana` makes exactly equal, and the GHZ
 family) against the other state's known rank, or else its lower bound
 ceil(2^E_G); a mismatch, or the bound exceeding the known rank, is again a
 proof.  Everything else is reported Undetermined: the tool never claims
-equivalence.  `slocc_distinguish` computes each state's signature and
-known rank once per call, at the caller's `tol`, and the geometric
-measure only when a bound is needed and no result was passed.
+equivalence.  Each state's signature and known rank are computed once per
+configuration and tolerance and kept in the configuration's memo, so a
+sweep that passes results (whose configurations ride along) reuses them
+from pair to pair; `slocc_distinguish` computes the geometric measure only
+when a bound is needed and no result was passed.
 
 The signature route is not sound for close pairs beyond twice the
 tolerance: an invertible local operation can bring two distinct points
@@ -35,8 +37,7 @@ from .symstate import (
     MajoranaConfig,
     SymmetricState,
     _check_tolerance,
-    _clusters,
-    pairwise_angles,
+    _cluster_labels,
     to_majorana,
 )
 
@@ -77,14 +78,18 @@ def degeneracy_signature(config: MajoranaConfig,
 
     A pair separated by more than `tol` but less than twice it makes the
     clustering unstable under tolerance choice, so the signature carries
-    an `ambiguous` warning flag in that case.
+    an `ambiguous` warning flag in that case.  Computed once per
+    configuration and tolerance, in the configuration's memo.
     """
-    vecs = config.unit_vectors()
-    angles = pairwise_angles(vecs, vecs)
-    sizes = tuple(sorted((len(c) for c in _clusters(angles, tol)), reverse=True))
-    upper = angles[np.triu_indices(config.n, k=1)]
-    ambiguous = bool(np.any((upper > tol) & (upper < 2.0 * tol)))
-    return DegeneracySignature(sizes, ambiguous)
+    def build():
+        angles = config._angle_matrix()
+        sizes = np.bincount(_cluster_labels(angles, tol))
+        # the diagonal is exactly zero, so the mask leaves it out
+        ambiguous = bool(np.any((angles > tol) & (angles < 2.0 * tol)))
+        return DegeneracySignature(tuple(sorted(sizes[sizes > 0].tolist(), reverse=True)),
+                                   ambiguous)
+
+    return config._memoized(("signature", tol), build)
 
 
 def _is_great_circle_ring(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> bool:
@@ -92,9 +97,10 @@ def _is_great_circle_ring(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) 
     n = config.n
     if n < 2:
         return False
-    vecs = config.unit_vectors()
-    if np.any(pairwise_angles(vecs, vecs)[np.triu_indices(n, k=1)] <= tol):
+    # the n zeros on the diagonal aside, no angle may be within tol
+    if np.count_nonzero(config._angle_matrix() <= tol) > n:
         return False
+    vecs = config.unit_vectors()
     # Plane through the origin: the smallest singular value must vanish.
     _, singular, vt = np.linalg.svd(vecs, full_matrices=False)
     if singular[-1] > n * tol:
@@ -111,13 +117,17 @@ def _is_great_circle_ring(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) 
 def known_rank(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> int | None:
     """Product-state rank when recognizable: 1 for product states, whose n
     points `to_majorana` makes exactly equal, 2 for the GHZ ring family;
-    otherwise None.  Raises ValueError unless `tol` is finite and positive."""
+    otherwise None.  Computed once per configuration and tolerance, in the
+    configuration's memo.  Raises ValueError unless `tol` is finite and
+    positive."""
     _check_tolerance(tol)
-    if np.all(config.points == config.points[0]):
-        return 1
-    if _is_great_circle_ring(config, tol):
-        return 2
-    return None
+
+    def build():
+        if np.all(config.points == config.points[0]):
+            return 1
+        return 2 if _is_great_circle_ring(config, tol) else None
+
+    return config._memoized(("rank", tol), build)
 
 
 def _rank_bound(ent: EntanglementResult) -> int:

@@ -3,22 +3,25 @@ catalog verdict.
 
 `detect_group` finds the largest subgroup of SO(3) whose rotations permute
 the configuration's point multiset.  Coincident points are first merged
-into weighted "sites".  Degenerate layouts (one site; all sites on one
-axis) are dispatched to the continuous groups directly.  Otherwise the
-finite group is listed outright: a rotation is fixed by where it sends two
-non-collinear sites, so a reference pair (s0, s1) is matched against every
-pair of sites with the same multiplicities and the same angle, and each
-rotation so built is kept when it maps every site onto a site of equal
-multiplicity, one to one.  No axis is guessed and no group is closed, so
-axes that no site or pair of sites spans (the three-fold axes of a
-generic tetrahedral orbit, say) are found like any other.  The listing
-is a (G, 3, 3) stack, and it stays one: the census reads the axes and
-angles of the whole stack at once (`symstate._axis_angle`), sorts it into
-element order, and bins the axes by line (the bin of the first rotation
-whose axis lies within the census threshold); the group and bin orders
-name the kind, and D_m also needs its turns to be powers of 2*pi/m.  The
-report's `elements` are that sorted stack, read-only, and
-`contains_dihedral` reads the detected label, so it cannot contradict it.
+into weighted "sites", in one site decomposition per detection that reads
+the configuration's memoized angle matrix.  Degenerate layouts (one site;
+all sites on one axis) are dispatched to the continuous groups directly.
+Otherwise the finite group is listed outright: a rotation is fixed by
+where it sends two non-collinear sites, so a reference pair (s0, s1) is
+matched against every pair of sites with the same multiplicities and the
+same angle, and each rotation so built is kept when it maps every site
+onto a site of equal multiplicity, one to one.  No axis is guessed and no
+group is closed, so axes that no site or pair of sites spans (the
+three-fold axes of a generic tetrahedral orbit, say) are found like any
+other.  The listing is a (G, 3, 3) stack, and it stays one: the census is
+array work with no loop over elements.  It reads the axes and angles of
+the whole stack at once (`symstate._axis_angle`), sorts it into element
+order, and bins the axes by line (the bin of the first rotation whose
+axis lies within the census threshold), counted by `bincount` and
+ordered by one `lexsort`; the group and bin orders name the kind, and D_m
+also needs its turns to be powers of 2*pi/m.  The report's `elements` are
+that sorted stack, read-only, and `contains_dihedral` reads the detected
+label, so it cannot contradict it.
 
 The report also carries the total-invariance verdict (`totally_invariant`,
 with a `witness` string), read off each site's stabiliser order: how many
@@ -49,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symstate import (COINCIDENCE_TOL, MajoranaConfig, Rotation, _axis_angle, pairwise_angles,
-                       site_decomposition)
+from .symstate import (COINCIDENCE_TOL, MajoranaConfig, Rotation, _axis_angle,
+                       _site_decomposition, pairwise_angles)
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,12 +135,25 @@ def _perpendicular(v: np.ndarray) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of 3-vectors (rows pair up), from the same component
+    products and differences, so the same bits without its dispatch."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1, keepdims=True), the same sum of squares."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+
+
 def _frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal frames with columns a, e and a x e, where e is the
     normalized part of b orthogonal to a (rows of a and b pair up)."""
-    e = b - np.sum(a * b, axis=-1, keepdims=True) * a
-    e /= np.linalg.norm(e, axis=-1, keepdims=True)
-    return np.stack([a, e, np.cross(a, e)], axis=-1)
+    e = b - np.add.reduce(a * b, axis=-1, keepdims=True) * a
+    e /= _norms(e)
+    return np.stack([a, e, _cross(a, e)], axis=-1)
 
 
 def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
@@ -145,13 +161,14 @@ def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
     (count, 3, 3) stack.
 
     A rotation is fixed by the images of two non-collinear sites.  s0 is a
-    site of the rarest multiplicity and s1 the site most orthogonal to it;
-    each pair (t0, t1) of sites with the same multiplicities and the same
-    angle, within 2 tol, gives the candidate F(t0, t1) F(s0, s1)^T, which
-    is kept when it sends every site within chord distance tol of a site of
-    equal multiplicity, one to one."""
-    values, counts = np.unique(mult, return_counts=True)
-    i0 = int(np.argmax(mult == values[np.argmin(counts)]))
+    site of the rarest multiplicity (the smallest such) and s1 the site
+    most orthogonal to it; each pair (t0, t1) of sites with the same
+    multiplicities and the same angle, within 2 tol, gives the candidate
+    F(t0, t1) F(s0, s1)^T, which is kept when it sends every site within
+    chord distance tol of a site of equal multiplicity, one to one."""
+    counts = np.bincount(mult)
+    rarest = int(np.argmin(np.where(counts > 0, counts, len(mult) + 1)))
+    i0 = int(np.argmax(mult == rarest))
     i1 = int(np.argmin(np.abs(sites @ sites[i0])))
     angles = pairwise_angles(sites, sites)
     match = ((np.abs(angles - angles[i0, i1]) <= 2.0 * tol)
@@ -159,13 +176,14 @@ def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
     np.fill_diagonal(match, False)
     match[i0, i1] = False  # the identity, listed exactly
     t0, t1 = np.nonzero(match)
+    reference = _frames(sites[i0], sites[i1]).T
     found = [np.eye(3)[None]]
     for start in range(0, len(t0), _CANDIDATE_BLOCK):
         block = slice(start, start + _CANDIDATE_BLOCK)
-        mats = _frames(sites[t0[block]], sites[t1[block]]) @ _frames(sites[i0], sites[i1]).T
+        mats = _frames(sites[t0[block]], sites[t1[block]]) @ reference
         images = sites @ mats.transpose(0, 2, 1)
         nearest = np.argmax(images @ sites.T, axis=2)
-        close = np.linalg.norm(images - sites[nearest], axis=2) <= tol
+        close = _norms(images - sites[nearest])[..., 0] <= tol
         one_to_one = np.all(np.diff(np.sort(nearest, axis=1), axis=1) > 0, axis=1)
         keep = np.all(close & (mult[nearest] == mult), axis=1) & one_to_one
         found.append(mats[keep])
@@ -173,18 +191,22 @@ def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _axis_bins(axes: np.ndarray, axis_tol: float = _MAT_TOL):
-    """Group the axes of nonidentity rotations by line; order = count + 1.
-    A rotation joins the bin of the first rotation whose axis lies within
-    `axis_tol` of its own."""
+    """Group the axes of nonidentity rotations by line: (bin_axes, orders),
+    one row per bin, where a bin's order is its rotation count + 1.  A
+    rotation joins the bin of the first rotation whose axis lies within
+    `axis_tol` of its own, and that first axis, canonically signed, is the
+    bin's.  Bins run by falling order, then by falling axis rounded to 9
+    decimals, in one lexsort."""
     if not len(axes):
-        return []
+        return np.empty((0, 3)), np.empty(0, dtype=int)
     axes = _canonical_axis(axes)
     first = np.argmax(np.abs(axes @ axes.T) >= math.cos(axis_tol), axis=1)
-    heads, counts = np.unique(first, return_counts=True)
-    bins = [{"axis": axes[h], "count": int(c), "order": int(c) + 1}
-            for h, c in zip(heads, counts)]
-    bins.sort(key=lambda e: (-e["order"], tuple(np.round(-e["axis"], 9))))
-    return bins
+    counts = np.bincount(first)
+    heads = np.flatnonzero(counts)
+    orders = counts[heads] + 1
+    key = np.round(-axes[heads], 9)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0], -orders))
+    return axes[heads[order]], orders[order]
 
 
 def _element_order(mats: np.ndarray):
@@ -218,23 +240,21 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
     mats, axes, angles = _element_order(mats)
     if len(mats) == 1:
         return TRIVIAL, 0, None, (), mats
-    bins = _axis_bins(axes[1:], mat_tol)
+    bin_axes, orders = _axis_bins(axes[1:], mat_tol)
     size = len(mats)
-    principal = bins[0]["axis"]
-    top = bins[0]["order"]
+    principal, top = bin_axes[0], int(orders[0])
     turns = angles[1:][np.abs(axes[1:] @ principal) >= math.cos(mat_tol)]
-    others_are_perpendicular_flips = all(
-        entry["order"] == 2 and abs(float(entry["axis"] @ principal)) < mat_tol
-        for entry in bins[1:])
-    if (size == 2 * top and others_are_perpendicular_flips and len(bins) == top + 1
+    tilts = np.abs(bin_axes[1:] @ principal)
+    others_are_perpendicular_flips = bool(np.all((orders[1:] == 2) & (tilts < mat_tol)))
+    if (size == 2 * top and others_are_perpendicular_flips and len(orders) == top + 1
             and _is_power(turns, top, mat_tol)):
-        generators = (Rotation(principal, TWO_PI / top), Rotation(bins[1]["axis"], math.pi))
+        generators = (Rotation(principal, TWO_PI / top), Rotation(bin_axes[1], math.pi))
         return DIHEDRAL, top, principal, generators, mats
     kind = _POLYHEDRAL_CENSUS.get((size, top))
     if kind is not None:
-        second = next(e for e in bins[1:] if abs(float(e["axis"] @ principal)) < 0.999)
+        second = 1 + int(np.argmax(tilts < 0.999))  # the first bin off the principal axis
         generators = (Rotation(principal, TWO_PI / top),
-                      Rotation(second["axis"], TWO_PI / second["order"]))
+                      Rotation(bin_axes[second], TWO_PI / int(orders[second])))
         return kind, 0, principal, generators, mats
     # One axis, or an incomplete census (tolerance drift) degraded to the
     # best cyclic subgroup rather than a guess.  Sites closer than 2 tol let
@@ -254,7 +274,7 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
 
 def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> SymmetryReport:
     """Largest rotation group permuting the configuration's point multiset."""
-    sites, mult = site_decomposition(config.unit_vectors(), tol)
+    sites, mult = _site_decomposition(config.unit_vectors(), config._angle_matrix(), tol)
     order, generators, elements = 0, (), _NO_ELEMENTS
     if len(sites) == 1:
         kind, axis = SO3, sites[0]

@@ -155,6 +155,12 @@ class MajoranaConfig:
     so two equal multisets compare equal entrywise.  The phase makes
     `to_dicke` reproduce amplitudes exactly, but it never participates in
     comparisons: states are rays.
+
+    Each instance keeps a private memo of what is read off its points:
+    the unit vectors and their `pairwise_angles` matrix, both read-only and
+    built on first use, and, per tolerance, the SLOCC evidence of `slocc`
+    (coincidence signature and known rank).  The memo lives and dies with
+    the instance, so it only saves work that repeats on one configuration.
     """
 
     n: int
@@ -170,20 +176,52 @@ class MajoranaConfig:
         phase = float(self.global_phase)
         if not (np.all(np.isfinite(pts)) and math.isfinite(phase)):
             raise ValueError("point angles and global phase must be finite")
-        pts = _canonical_points(pts.reshape(self.n, 2))
-        pts.flags.writeable = False
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "points", pts)
+        self._store(int(self.n), _canonical_points(pts.reshape(self.n, 2)), phase)
+
+    def _store(self, n: int, points: np.ndarray, phase: float) -> None:
+        points.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "global_phase", float(_wrap_angle(phase)))
+        object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _from_canonical(cls, n: int, points: np.ndarray, phase: float) -> "MajoranaConfig":
+        """A configuration of finite points already in canonical order, which
+        the constructor would return unchanged."""
+        config = cls.__new__(cls)
+        config._store(n, points, phase)
+        return config
+
+    def _memoized(self, key, build):
+        """The memo's entry `key`, built by `build()` on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def unit_vectors(self) -> np.ndarray:
-        """All n points as unit vectors, shape (n, 3), in canonical order."""
-        return angles_to_unit(self.points[:, 0], self.points[:, 1])
+        """All n points as unit vectors, shape (n, 3), in canonical order;
+        built once per instance and read-only."""
+        return self._memoized("units", lambda: _read_only(
+            angles_to_unit(self.points[:, 0], self.points[:, 1])))
+
+    def _angle_matrix(self) -> np.ndarray:
+        """`pairwise_angles` of the unit vectors with themselves, (n, n):
+        symmetric with an exactly zero diagonal; built once and read-only."""
+        return self._memoized("angles", lambda: _read_only(
+            pairwise_angles(self.unit_vectors(), self.unit_vectors())))
 
     def __eq__(self, other):
         if not isinstance(other, MajoranaConfig):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.points, other.points)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _axis_angle(mats) -> tuple[np.ndarray, np.ndarray]:
@@ -411,10 +449,10 @@ def to_majorana(state: SymmetricState) -> MajoranaConfig:
     pts = _canonical_points(pts)
     overlap = complex(np.vdot(_product_amplitudes(pts), state.amps))
     loss = 1.0 - abs(overlap) ** 2
-    if loss > _ROUND_TRIP_TOL:
+    if not loss <= _ROUND_TRIP_TOL:  # a NaN loss fails too
         raise RuntimeError(f"Majorana points reproduce the state only to "
                            f"1 - F = {loss:.3e}, above {_ROUND_TRIP_TOL:.0e}")
-    return MajoranaConfig(n, pts, float(np.angle(overlap)))
+    return MajoranaConfig._from_canonical(n, pts, float(np.angle(overlap)))
 
 
 def to_dicke(config: MajoranaConfig) -> SymmetricState:
@@ -475,7 +513,8 @@ def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[n
     Returns index arrays, ordered by each cluster's smallest member index;
     raises ValueError unless `tol` is finite and positive.
     """
-    return _clusters(pairwise_angles(vecs, vecs), tol)
+    label = _cluster_labels(pairwise_angles(vecs, vecs), tol)
+    return [np.flatnonzero(label == r) for r in np.flatnonzero(label == np.arange(len(label)))]
 
 
 def _check_tolerance(tol: float) -> None:
@@ -485,26 +524,40 @@ def _check_tolerance(tol: float) -> None:
         raise ValueError(f"coincidence tolerance must be finite and positive, got {tol!r}")
 
 
-def _clusters(angles: np.ndarray, tol: float) -> list[np.ndarray]:
-    """`cluster_directions` on a `pairwise_angles` matrix, by min-label
-    propagation: each point takes the smallest label among the points within
-    `tol` of it, itself included, until no label changes."""
+def _cluster_labels(angles: np.ndarray, tol: float) -> np.ndarray:
+    """Each point's `cluster_directions` label, the smallest index in its
+    cluster, from a `pairwise_angles` matrix, by min-label propagation: each
+    point takes the smallest label among the points within `tol` of it,
+    itself included, until no label changes."""
     _check_tolerance(tol)
     near, label, previous = angles <= tol, np.arange(len(angles)), None
     while not np.array_equal(label, previous):
         previous = label
         label = np.minimum(label, np.where(near, label, len(near)).min(axis=1, initial=len(near)))
-    roots = np.flatnonzero(label == np.arange(len(label)))
-    return [np.flatnonzero(label == r) for r in roots]
+    return label
 
 
 def site_decomposition(vecs: np.ndarray, tol: float):
     """Coincidence clusters of `vecs` as (sites, mult): each cluster's unit
     mean direction and its point count, in `cluster_directions` order."""
-    clusters = cluster_directions(vecs, tol)
-    sites = np.array([vecs[idx].sum(axis=0) for idx in clusters])
+    return _site_decomposition(vecs, pairwise_angles(vecs, vecs), tol)
+
+
+def _site_decomposition(vecs: np.ndarray, angles: np.ndarray, tol: float):
+    """`site_decomposition` with the `pairwise_angles` matrix of `vecs` given.
+    Each cluster's members are summed from zero in index order, as a loop
+    over clusters would, so a -0.0 entry of a lone point becomes 0.0."""
+    label = _cluster_labels(angles, tol)
+    roots = label == np.arange(len(label))
+    if roots.all():
+        sites, mult = vecs + 0.0, np.ones(len(vecs), dtype=int)
+    else:
+        cluster = (np.cumsum(roots) - 1)[label]
+        sites = np.zeros((int(roots.sum()), 3))
+        np.add.at(sites, cluster, vecs)
+        mult = np.bincount(cluster)
     sites /= np.linalg.norm(sites, axis=1)[:, None]
-    return sites, np.array([len(idx) for idx in clusters])
+    return sites, mult
 
 
 def config_close(a: MajoranaConfig, b: MajoranaConfig, tol: float = 1e-8) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from majorana import (
     MajoranaConfig,
     degeneracy_signature,
+    random_symmetric_state,
     four_qubit_table,
     geometric_measure,
     slocc_distinguish,
@@ -27,6 +28,7 @@ from majorana.catalog import (
     gen_tetrahedral,
     totally_invariant_states,
 )
+from majorana.symstate import COINCIDENCE_TOL
 
 from helpers import random_rotation, rotate_points
 
@@ -265,3 +267,38 @@ def test_one_known_rank_per_state(monkeypatch):
         # at most one call per state, each on that state's configuration
         configs = to_majorana(a), to_majorana(b)
         assert len(calls) <= 2 and all(c == configs[i] for i, c in enumerate(calls))
+
+
+def test_each_configuration_is_clustered_once_along_a_chain(monkeypatch):
+    # a sweep that passes results hands each configuration to two pairs;
+    # the second reads its signature and known rank from the memo
+    from majorana import slocc
+    from majorana.symstate import _cluster_labels
+    states = [gen_ghz(6), gen_dicke(6, 1), gen_dicke(6, 2), gen_dicke(6, 3),
+              gen_platonic("octahedron"), gen_dihedral(6, 1),
+              random_symmetric_state(6, np.random.default_rng(11))]
+    ents = [geometric_measure(state) for state in states]
+    fresh = [slocc_distinguish(a, b) for a, b in zip(states, states[1:])]
+    clustered = []
+
+    def counting(angles, tol):
+        clustered.append(angles)
+        return _cluster_labels(angles, tol)
+
+    monkeypatch.setattr(slocc, "_cluster_labels", counting)
+    chained = [slocc_distinguish(states[i], states[i + 1], ent_a=ents[i], ent_b=ents[i + 1])
+               for i in range(6)]
+    assert chained == fresh
+    assert [id(a) for a in clustered] == [id(ent.config._angle_matrix()) for ent in ents]
+
+
+def test_memo_is_keyed_by_tolerance():
+    # one configuration asked at two tolerances, in both orders
+    for order in ((0.06, COINCIDENCE_TOL), (COINCIDENCE_TOL, 0.06)):
+        config = to_majorana(gen_ghz(64))
+        ambiguous = {tol: degeneracy_signature(config, tol).ambiguous for tol in order}
+        assert ambiguous == {0.06: True, COINCIDENCE_TOL: False}
+    for order in ((1e-3, COINCIDENCE_TOL), (COINCIDENCE_TOL, 1e-3)):
+        config = to_majorana(_nudged_ghz5())
+        ranks = {tol: known_rank(config, tol) for tol in order}
+        assert ranks == {1e-3: 2, COINCIDENCE_TOL: None}

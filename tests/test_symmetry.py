@@ -402,12 +402,13 @@ def test_axis_bins_match_greedy_loop():
         report = detect_group(cfg)
         # the census bins the reported elements as the loop did
         axes, _ = _axis_angle(report.elements[1:])
-        bins = symmetry._axis_bins(axes, mat_tol)
+        bin_axes, orders = symmetry._axis_bins(axes, mat_tol)
         expected = sorted(_axis_bins_loop(axes, mat_tol),
                           key=lambda e: (-e[1], tuple(np.round(-e[0], 9))))
-        assert [e["count"] for e in bins] == [count for _, count in expected]
-        for entry, (axis, _) in zip(bins, expected):
-            assert np.array_equal(entry["axis"], axis)
+        assert (orders - 1).tolist() == [count for _, count in expected]
+        assert len(bin_axes) == len(expected)
+        for axis, (expected_axis, _) in zip(bin_axes, expected):
+            assert np.array_equal(axis, expected_axis)
 
 
 def _catalog_configs():

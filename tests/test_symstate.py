@@ -26,8 +26,9 @@ from majorana import (
     to_json_text,
     to_majorana,
 )
-from majorana.symstate import (_axis_angle, binomial_weights, cluster_directions, pairwise_angles,
-                               parse_json_dict)
+from majorana import symstate
+from majorana.symstate import (_axis_angle, angles_to_unit, binomial_weights, cluster_directions,
+                               pairwise_angles, parse_json_dict, site_decomposition)
 
 from helpers import PRODUCT_THETAS, perturb_config, product_states, random_rotation
 
@@ -505,6 +506,87 @@ def test_clustering_tolerance_must_be_finite_and_positive(tol):
         detect_group(to_majorana(gen_ghz(4)), tol)
     with pytest.raises(ValueError, match="tolerance"):
         degeneracy_signature(to_majorana(gen_dicke(4, 1)), tol)
+
+
+def _site_decomposition_loop(vecs, tol):
+    # the per-cluster reference: each cluster's members summed in index order
+    clusters = cluster_directions(vecs, tol)
+    sites = np.array([vecs[idx].sum(axis=0) for idx in clusters])
+    sites /= np.linalg.norm(sites, axis=1)[:, None]
+    return sites, np.array([len(idx) for idx in clusters])
+
+
+def test_site_decomposition_matches_per_cluster_loop():
+    # bit for bit, signed zeros included, on clusters, chains and polar stacks
+    rng = np.random.default_rng(31)
+    poles = np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, -1.0]])
+    for case in range(300):
+        n = int(rng.integers(1, 65))
+        tol = float(10.0 ** rng.uniform(-6.0, math.log10(0.5)))
+        if case % 3 == 0:
+            # a few centres, each point jittered by about tol
+            centres = rng.standard_normal((int(rng.integers(1, 9)), 3))
+            centres /= np.linalg.norm(centres, axis=1)[:, None]
+            vecs = centres[rng.integers(0, len(centres), n)] + tol * rng.standard_normal((n, 3))
+        elif case % 3 == 1:
+            # shuffled chains: steps of 0.3-1.7 tol along a circle
+            theta = np.cumsum(tol * rng.uniform(0.3, 1.7, n))
+            base = rng.standard_normal((2, 3))[rng.integers(0, 2, n)]
+            base /= np.linalg.norm(base, axis=1)[:, None]
+            vecs = base + np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)])
+            vecs = vecs[rng.permutation(n)]
+        else:
+            # polar stacks with signed zeros among generic points
+            k = int(rng.integers(0, n + 1))
+            vecs = np.vstack([poles[rng.integers(0, 4, k)], rng.standard_normal((n - k, 3))])
+            vecs = vecs[rng.permutation(n)]
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        sites, mult = site_decomposition(vecs, tol)
+        expected_sites, expected_mult = _site_decomposition_loop(vecs, tol)
+        assert sites.shape == expected_sites.shape, (case, n, tol)
+        assert sites.tobytes() == expected_sites.tobytes(), (case, n, tol)
+        assert mult.dtype == expected_mult.dtype and mult.tolist() == expected_mult.tolist()
+
+
+def test_unit_vectors_are_read_only_and_built_once():
+    cfg = to_majorana(random_symmetric_state(9, np.random.default_rng(5)))
+    units = cfg.unit_vectors()
+    assert not units.flags.writeable
+    assert cfg.unit_vectors() is units
+    np.testing.assert_array_equal(units, angles_to_unit(cfg.points[:, 0], cfg.points[:, 1]))
+    with pytest.raises(ValueError):
+        units[0, 0] = 1.0
+
+
+def test_one_angle_matrix_per_configuration(monkeypatch):
+    # detection, signatures and known ranks all read one configuration's
+    # unit vectors and angle matrix
+    from majorana import degeneracy_signature, detect_group, slocc, symmetry
+    from majorana.catalog import gen_platonic
+    from majorana.slocc import known_rank
+    config = to_majorana(gen_platonic("cube", 2))  # 16 points on 8 sites
+    built = {"units": 0, "angles": 0}
+
+    def counting_units(*args):
+        built["units"] += 1
+        return angles_to_unit(*args)
+
+    def counting_angles(va, vb):
+        # the listing's angles between the 8 sites are not the configuration's
+        built["angles"] += len(va) == config.n
+        return pairwise_angles(va, vb)
+
+    monkeypatch.setattr(symstate, "angles_to_unit", counting_units)
+    for module in (symstate, symmetry, slocc):
+        # raising=False: a module that does not import the name gains it
+        # for the test, so no call path escapes the count
+        monkeypatch.setattr(module, "pairwise_angles", counting_angles, raising=False)
+    report = detect_group(config)
+    signatures = [degeneracy_signature(config) for _ in range(2)]
+    ranks = [known_rank(config) for _ in range(2)]
+    assert built == {"units": 1, "angles": 1}
+    assert report.label == "O" and signatures[0] is signatures[1]
+    assert signatures[0].multiplicities == (2,) * 8 and ranks == [None, None]
 
 
 def test_config_close_permutation_and_perturbation():
