@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symstate import (
+    TWO_PI,
     MajoranaConfig,
     SymmetricState,
+    _norms,
     to_dicke,
     unit_to_angles,
 )
@@ -85,7 +87,7 @@ def platonic_vertices(solid: str) -> np.ndarray:
         ring_z = -1.0 / 3.0
         ring_r = math.sqrt(8.0) / 3.0
         verts = [(0.0, 0.0, 1.0)]
-        for azimuth in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0):
+        for azimuth in (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0):
             verts.append((ring_r * math.cos(azimuth), ring_r * math.sin(azimuth), ring_z))
         return np.array(verts)
     if solid == "octahedron":
@@ -100,7 +102,7 @@ def platonic_vertices(solid: str) -> np.ndarray:
         r = math.sin(polar)
         z = math.cos(polar)
         for j in range(5):
-            upper = 2.0 * math.pi * j / 5.0
+            upper = TWO_PI * j / 5.0
             lower = upper + math.pi / 5.0
             verts.append((r * math.cos(upper), r * math.sin(upper), z))
             verts.append((r * math.cos(lower), r * math.sin(lower), -z))
@@ -113,7 +115,7 @@ def platonic_vertices(solid: str) -> np.ndarray:
             verts.append((a, b, 0.0))
             verts.append((b, 0.0, a))
         arr = np.array(verts)
-        return arr / np.linalg.norm(arr, axis=1)[:, None]
+        return arr / _norms(arr)[:, None]
     raise ValueError(f"unknown solid {solid!r}; choose one of {SOLIDS}")
 
 

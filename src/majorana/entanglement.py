@@ -69,6 +69,7 @@ from .symstate import (
     SymmetricState,
     _binomial_rows,
     _check_angles,
+    _norms,
     _spinors,
     angles_to_unit,
     binomial_weights,
@@ -264,9 +265,9 @@ def _newton_ascent(mp_units: np.ndarray, units: np.ndarray, gradient_tol: float,
     never fewer than _POLISH_COUNT, sweeps on.  Returns the final units and
     gradient norms, and the number of sweeps run.
     """
-    units = units / np.linalg.norm(units, axis=1)[:, None]
+    units = units / _norms(units)[:, None]
     log_values, gradient, hessian, e1, e2 = _chart_terms(units, mp_units)
-    gnorms = np.linalg.norm(gradient, axis=1)
+    gnorms = _norms(gradient)
     steps = _saddle_free_step(gradient, hessian, e1, e2)
     scale = np.ones(len(units))
     stalls = np.zeros(len(units), dtype=int)
@@ -275,11 +276,11 @@ def _newton_ascent(mp_units: np.ndarray, units: np.ndarray, gradient_tol: float,
     while active.size and sweeps < max_sweeps:
         sweeps += 1
         step = scale[active, None] * steps[active]
-        r = np.linalg.norm(step, axis=1)
+        r = _norms(step)
         trial = np.cos(r)[:, None] * units[active] + np.sinc(r / math.pi)[:, None] * step
-        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        trial /= _norms(trial)[:, None]
         trial_values, gradient, hessian, e1, e2 = _chart_terms(trial, mp_units)
-        trial_gnorms = np.linalg.norm(gradient, axis=1)
+        trial_gnorms = _norms(gradient)
         gain = trial_values - log_values[active]
         if polish:
             accept = (gain >= 0.0) | (trial_gnorms <= _POLISH_SHRINK * gnorms[active])
@@ -395,7 +396,7 @@ def geometric_measure(state: SymmetricState) -> EntanglementResult:
         tied = np.flatnonzero(values >= values.max() - _VALUE_TIE)
         units = angles_to_unit(theta[tied], beta)
         _, gradient, _, _, _ = _chart_terms(units, mp_units)
-        gnorms = np.linalg.norm(gradient, axis=1)
+        gnorms = _norms(gradient)
         best = int(np.argmin(gnorms))
         best_u, best_value, best_gnorm = units[best], values[tied[best]], gnorms[best]
         if best_gnorm > _POLISH_GRADIENT_TOL:
@@ -419,7 +420,7 @@ def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementRes
     j = np.arange(resolution)
     z = 1.0 - (2.0 * j + 1.0) / resolution
     theta = np.arccos(z)
-    phi = 2.0 * math.pi * (j + 0.5) / resolution
+    phi = TWO_PI * (j + 0.5) / resolution
     t = _binomial_rows(*_spinors(theta, 0.0), state.n)
     e = np.exp(-1j * np.outer(phi, np.arange(state.n + 1)))
     overlaps = (t * state.amps) @ e.T  # rows: theta index, cols: phi index

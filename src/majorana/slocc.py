@@ -34,10 +34,12 @@ import numpy as np
 from .entanglement import EntanglementResult, geometric_measure
 from .symstate import (
     COINCIDENCE_TOL,
+    TWO_PI,
     MajoranaConfig,
     SymmetricState,
     _check_tolerance,
     _cluster_labels,
+    _cross,
     to_majorana,
 )
 
@@ -108,10 +110,10 @@ def _is_great_circle_ring(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) 
     normal = vt[-1]
     e1 = vecs[0] - float(vecs[0] @ normal) * normal
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(normal, e1)
-    azimuth = np.sort(np.arctan2(vecs @ e2, vecs @ e1) % (2.0 * math.pi))
-    gaps = np.diff(np.append(azimuth, azimuth[0] + 2.0 * math.pi))
-    return bool(np.max(np.abs(gaps - 2.0 * math.pi / n)) <= max(10.0 * tol, 1e-8))
+    e2 = _cross(normal, e1)
+    azimuth = np.sort(np.arctan2(vecs @ e2, vecs @ e1) % TWO_PI)
+    gaps = np.diff(np.append(azimuth, azimuth[0] + TWO_PI))
+    return bool(np.max(np.abs(gaps - TWO_PI / n)) <= max(10.0 * tol, 1e-8))
 
 
 def known_rank(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> int | None:

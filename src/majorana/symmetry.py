@@ -52,10 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symstate import (COINCIDENCE_TOL, MajoranaConfig, Rotation, _axis_angle,
-                       _site_decomposition, pairwise_angles)
-
-TWO_PI = 2.0 * math.pi
+from .symstate import (COINCIDENCE_TOL, TWO_PI, MajoranaConfig, Rotation, _axis_angle, _cross,
+                       _norms, _site_decomposition, pairwise_angles)
 
 # Labels for report.kind.
 TRIVIAL = "trivial"
@@ -131,28 +129,15 @@ def _canonical_axis(v: np.ndarray) -> np.ndarray:
 def _perpendicular(v: np.ndarray) -> np.ndarray:
     pick = np.zeros(3)
     pick[int(np.argmin(np.abs(v)))] = 1.0
-    w = np.cross(v, pick)
+    w = _cross(v, pick)
     return w / np.linalg.norm(w)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross of 3-vectors (rows pair up), from the same component
-    products and differences, so the same bits without its dispatch."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(v, axis=-1, keepdims=True), the same sum of squares."""
-    return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 def _frames(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal frames with columns a, e and a x e, where e is the
     normalized part of b orthogonal to a (rows of a and b pair up)."""
     e = b - np.add.reduce(a * b, axis=-1, keepdims=True) * a
-    e /= _norms(e)
+    e /= _norms(e)[..., None]
     return np.stack([a, e, _cross(a, e)], axis=-1)
 
 
@@ -183,7 +168,7 @@ def _list_group(sites: np.ndarray, mult: np.ndarray, tol: float) -> np.ndarray:
         mats = _frames(sites[t0[block]], sites[t1[block]]) @ reference
         images = sites @ mats.transpose(0, 2, 1)
         nearest = np.argmax(images @ sites.T, axis=2)
-        close = _norms(images - sites[nearest])[..., 0] <= tol
+        close = _norms(images - sites[nearest]) <= tol
         one_to_one = np.all(np.diff(np.sort(nearest, axis=1), axis=1) > 0, axis=1)
         keep = np.all(close & (mult[nearest] == mult), axis=1) & one_to_one
         found.append(mats[keep])
@@ -273,7 +258,8 @@ def _classify(mats: np.ndarray, site_count: int, mat_tol: float = _MAT_TOL):
 
 
 def detect_group(config: MajoranaConfig, tol: float = COINCIDENCE_TOL) -> SymmetryReport:
-    """Largest rotation group permuting the configuration's point multiset."""
+    """Largest rotation group permuting the configuration's point multiset.
+    Raises ValueError when `tol` merges points whose directions cancel."""
     sites, mult = _site_decomposition(config.unit_vectors(), config._angle_matrix(), tol)
     order, generators, elements = 0, (), _NO_ELEMENTS
     if len(sites) == 1:
@@ -308,7 +294,7 @@ def _stabiliser_orders(sites: np.ndarray, mats: np.ndarray, tol: float) -> np.nd
     """Each site's stabiliser order: how many listed rotations move it by at
     most tol, the chord test of `_list_group`."""
     images = sites @ mats.transpose(0, 2, 1)
-    return np.count_nonzero(np.linalg.norm(images - sites, axis=2) <= tol, axis=0)
+    return np.count_nonzero(_norms(images - sites) <= tol, axis=0)
 
 
 def _ti_dihedral(m: int, orders: np.ndarray, mult: np.ndarray):
@@ -354,7 +340,7 @@ def _ti_polyhedral(n: int, kind: str, principal: np.ndarray, sites: np.ndarray,
         if cap == 0:
             return False, f"a point lies on a {name}, which the pattern leaves empty"
         if kind == TETRAHEDRAL and order == 3 and not np.any(
-                np.linalg.norm(mats @ sites[i] - principal, axis=1) <= tol):
+                _norms(mats @ sites[i] - principal) <= tol):
             # T's three-fold axes end in two tetrahedra; the one holding the
             # principal axis is the tetrahedron, the other its mirror image.
             name = "mirror-" + name

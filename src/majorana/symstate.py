@@ -24,6 +24,9 @@ spin-n/2 unitary (`wigner_rotation`, the one-rotation case of the batched
 `_wigner_stack`, which takes arrays of axes and angles), so `rotate_state`
 finds no roots.  `_axis_angle` reads axes and angles off a (G, 3, 3) matrix
 stack; `Rotation.from_matrix` is its one-matrix case, checked for rotations.
+Every layer takes the axis-wise norms and cross products of real point
+arrays through `_norms` and `_cross`, which give numpy's bits without its
+dispatch.
 
 Angles are radians throughout: theta is the polar angle in [0, pi]
 measured from +z, phi the azimuth in [0, 2*pi), wrapped there directly, so
@@ -63,6 +66,12 @@ _ROUND_TRIP_TOL = 1e-8
 # built in floating point stay within 1e-15 of orthogonal, and the axis and
 # angle read off a matrix this close are those of a rotation about as close.
 _ORTHOGONAL_TOL = 1e-9
+
+# A cluster of m unit vectors whose sum is at most _CANCELLED_SUM * m long has
+# no mean direction: summing them rounds the total by about m^2 eps at most,
+# which stays below 1e-12 m for every m up to 4,500, so a shorter sum points
+# wherever rounding sent it.
+_CANCELLED_SUM = 1e-12
 
 
 @lru_cache(maxsize=128)
@@ -500,11 +509,25 @@ def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:
     return _binomial_rows(*_spinors(theta, phi), n)[0]
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of a real array, shape (...): the same sum
+    of squares, so the same bits without its dispatch."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of real 3-vectors (rows pair up), from the same component
+    products and differences, so the same bits without its dispatch."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def pairwise_angles(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """Angles 2 arctan2(|a - b|, |a + b|) between two sets of unit vectors:
     arccos(a.b) would lose half the precision at coincident or antipodal pairs."""
     va, vb = np.asarray(va)[:, None, :], np.asarray(vb)[None, :, :]
-    return 2.0 * np.arctan2(np.linalg.norm(va - vb, axis=-1), np.linalg.norm(va + vb, axis=-1))
+    return 2.0 * np.arctan2(_norms(va - vb), _norms(va + vb))
 
 
 def cluster_directions(vecs: np.ndarray, tol: float = COINCIDENCE_TOL) -> list[np.ndarray]:
@@ -528,18 +551,24 @@ def _cluster_labels(angles: np.ndarray, tol: float) -> np.ndarray:
     """Each point's `cluster_directions` label, the smallest index in its
     cluster, from a `pairwise_angles` matrix, by min-label propagation: each
     point takes the smallest label among the points within `tol` of it,
-    itself included, until no label changes."""
+    itself included, then the label of its label, until no label changes.
+    Labels only fall and stay inside their cluster, and the second step
+    halves the chain to the cluster's smallest index, so a chain of n
+    points settles in O(log n) sweeps."""
     _check_tolerance(tol)
     near, label, previous = angles <= tol, np.arange(len(angles)), None
     while not np.array_equal(label, previous):
         previous = label
         label = np.minimum(label, np.where(near, label, len(near)).min(axis=1, initial=len(near)))
+        label = label[label]
     return label
 
 
 def site_decomposition(vecs: np.ndarray, tol: float):
     """Coincidence clusters of `vecs` as (sites, mult): each cluster's unit
-    mean direction and its point count, in `cluster_directions` order."""
+    mean direction and its point count, in `cluster_directions` order.
+    Raises ValueError when the points of a cluster cancel, so that it has
+    no mean direction."""
     return _site_decomposition(vecs, pairwise_angles(vecs, vecs), tol)
 
 
@@ -549,14 +578,15 @@ def _site_decomposition(vecs: np.ndarray, angles: np.ndarray, tol: float):
     over clusters would, so a -0.0 entry of a lone point becomes 0.0."""
     label = _cluster_labels(angles, tol)
     roots = label == np.arange(len(label))
-    if roots.all():
-        sites, mult = vecs + 0.0, np.ones(len(vecs), dtype=int)
-    else:
-        cluster = (np.cumsum(roots) - 1)[label]
-        sites = np.zeros((int(roots.sum()), 3))
-        np.add.at(sites, cluster, vecs)
-        mult = np.bincount(cluster)
-    sites /= np.linalg.norm(sites, axis=1)[:, None]
+    cluster = (np.cumsum(roots) - 1)[label]
+    sites = np.zeros((int(roots.sum()), 3))
+    np.add.at(sites, cluster, vecs)
+    mult = np.bincount(cluster)
+    norms = _norms(sites)
+    if np.any(norms <= _CANCELLED_SUM * mult):
+        raise ValueError(f"points merged at tolerance {tol:g} cancel: their cluster has "
+                         "no mean direction")
+    sites /= norms[:, None]
     return sites, mult
 
 

@@ -643,3 +643,24 @@ def test_stabiliser_orders():
             mats = symmetry._list_group(sites, mult, COINCIDENCE_TOL)
             orders = symmetry._stabiliser_orders(sites, mats, COINCIDENCE_TOL)
             assert len(orders) == len(vecs) and np.all(orders == order), (len(vecs), order)
+
+
+@pytest.mark.parametrize("n, tol", [(64, 0.1), (40, 0.16), (6, 1.1), (3, 2.2)])
+def test_cancelling_cluster_is_refused(n, tol):
+    # the GHZ ring merges into one cluster whose points sum to rounding noise
+    # (1.7e-14 long for GHZ64): it has no mean direction to report
+    config = to_majorana(gen_ghz(n))
+    with pytest.raises(ValueError, match=f"tolerance {tol:g} cancel"):
+        detect_group(config, tol)
+    with pytest.raises(ValueError, match="no mean direction"):
+        contains_dihedral(config, 2, tol)
+    with pytest.raises(ValueError, match="no mean direction"):
+        site_decomposition(config.unit_vectors(), tol)
+
+
+def test_merged_cluster_that_does_not_cancel_keeps_its_direction():
+    # W4's three north points and one south point merge at tol 4 and sum to
+    # 2 z: SO(3) about +-z
+    report = detect_group(to_majorana(gen_dicke(4, 1)), 4.0)
+    assert report.label == "SO(3)"
+    assert abs(abs(report.axis[2]) - 1.0) <= 1e-15

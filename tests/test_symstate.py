@@ -26,9 +26,10 @@ from majorana import (
     to_json_text,
     to_majorana,
 )
-from majorana import symstate
-from majorana.symstate import (_axis_angle, angles_to_unit, binomial_weights, cluster_directions,
-                               pairwise_angles, parse_json_dict, site_decomposition)
+from majorana import symmetry, symstate
+from majorana.symstate import (_axis_angle, _cross, _norms, angles_to_unit, binomial_weights,
+                               cluster_directions, pairwise_angles, parse_json_dict,
+                               site_decomposition)
 
 from helpers import PRODUCT_THETAS, perturb_config, product_states, random_rotation
 
@@ -493,6 +494,80 @@ def test_clusters_match_union_find_reference():
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         clusters = cluster_directions(vecs, tol)
         assert [c.tolist() for c in clusters] == _union_find_clusters(vecs, tol), (case, n, tol)
+
+
+def _breadth_first_clusters(vecs, tol):
+    # plain single-linkage reference: grow each cluster from its smallest
+    # unvisited index, one layer of neighbours at a time
+    near = pairwise_angles(vecs, vecs) <= tol
+    seen, clusters = np.zeros(len(vecs), dtype=bool), []
+    for start in range(len(vecs)):
+        if seen[start]:
+            continue
+        seen[start], members, frontier = True, [start], [start]
+        while frontier:
+            grown = [j for i in frontier for j in np.flatnonzero(near[i] & ~seen)]
+            frontier = sorted(set(grown))
+            seen[frontier] = True
+            members += frontier
+        clusters.append(sorted(members))
+    return clusters
+
+
+def test_reversed_chains_rings_and_clusters_match_breadth_first_reference():
+    # listed in reverse, a chain's smallest index sits at its far end, which
+    # min-label propagation alone reaches one link per sweep
+    rng = np.random.default_rng(41)
+    for case in range(240):
+        n = int(rng.integers(1, 65))
+        tol = float(10.0 ** rng.uniform(-6.0, math.log10(0.5)))
+        axis = rng.standard_normal(3)
+        e1, e2 = np.linalg.qr(np.column_stack([axis, rng.standard_normal((3, 2))]))[0][:, 1:].T
+        if case % 3 == 0:
+            # a chain along a great circle: steps of 0.5-0.99 tol, a tenth of
+            # them breaking it with 1.01-1.5 tol
+            steps = tol * np.where(rng.random(n) < 0.9, rng.uniform(0.5, 0.99, n),
+                                   rng.uniform(1.01, 1.5, n))
+            theta = np.cumsum(steps)
+        elif case % 3 == 1:
+            # a ring of n evenly spaced points, tol just above or below the gap
+            tol = 2.0 * math.pi / n * float(rng.choice([0.98, 1.02]))
+            theta = 2.0 * math.pi * np.arange(n) / n
+        else:
+            # a few centres along the circle, each point jittered by about tol
+            centres = rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(1, 9)))
+            theta = centres[rng.integers(0, len(centres), n)] + tol * rng.standard_normal(n)
+        vecs = np.outer(np.cos(theta), e1) + np.outer(np.sin(theta), e2)
+        vecs = vecs[::-1] / np.linalg.norm(vecs[::-1], axis=1)[:, None]
+        clusters = cluster_directions(vecs, tol)
+        assert [c.tolist() for c in clusters] == _breadth_first_clusters(vecs, tol), (case, n)
+
+
+def _kernel_arrays(rng):
+    """Seeded real arrays of shapes (n, 3), (n, n, 3) and (G, S, 3), n up to
+    64, with a fifth of their entries replaced by signed zeros."""
+    arrays = []
+    for n in (1, 2, 7, 33, 64):
+        points = rng.standard_normal((n, 3))
+        arrays += [points, points[:, None, :] - points[None, :, :],
+                   rng.standard_normal((int(rng.integers(1, 61)), n, 3))]
+    for array in arrays:
+        zeros = rng.random(array.shape) < 0.2
+        array[zeros] = np.where(rng.random(array.shape) < 0.5, 0.0, -0.0)[zeros]
+    return arrays
+
+
+def test_point_kernels_match_numpy_bit_for_bit():
+    # `_norms` and `_cross` are the package's one axis-wise norm and cross
+    # product of real point arrays, with numpy's bits
+    rng = np.random.default_rng(43)
+    for a in _kernel_arrays(rng):
+        b = rng.permutation(a.reshape(-1, 3)).reshape(a.shape)
+        assert _norms(a).shape == a.shape[:-1]
+        assert _norms(a).tobytes() == np.linalg.norm(a, axis=-1).tobytes(), a.shape
+        assert _cross(a, b).tobytes() == np.cross(a, b).tobytes(), a.shape
+        assert _cross(a[-1, ...], b[0, ...]).tobytes() == np.cross(a[-1], b[0]).tobytes()
+    assert symmetry._norms is symstate._norms and symmetry._cross is symstate._cross
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
