@@ -20,6 +20,7 @@ from .symstate import (
     TWO_PI,
     MajoranaConfig,
     SymmetricState,
+    _check_integer,
     _norms,
     to_dicke,
     unit_to_angles,
@@ -50,7 +51,7 @@ class CatalogEntry:
 
 def gen_dicke(n: int, k: int) -> SymmetricState:
     """Basis state with k excitations: n-k points north, k points south."""
-    if not 0 <= k <= n:
+    if _check_integer(k, "excitation count", 0) > n:
         raise ValueError(f"excitation count {k} out of range for n={n}")
     amps = np.zeros(n + 1)
     amps[k] = 1.0
@@ -68,8 +69,8 @@ def gen_ghz(n: int) -> SymmetricState:
 
 def gen_dihedral(n: int, p: int) -> SymmetricState:
     """(|k=p> + |k=n-p>)/sqrt(2): p points per pole, n-2p on the equator."""
-    if p < 0 or n - 2 * p < 2:
-        raise ValueError(f"need 0 <= p and a ring of n-2p >= 2 points, got p={p}, n={n}")
+    if n - 2 * _check_integer(p, "polar stack size", 0) < 2:
+        raise ValueError(f"need a ring of n-2p >= 2 points, got p={p}, n={n}")
     amps = np.zeros(n + 1)
     amps[p] = amps[n - p] = 1.0
     return SymmetricState(n, amps)

@@ -99,8 +99,8 @@ def _cmd_convert(args) -> int:
 
 def _cmd_entangle(args) -> int:
     state = _load_state(args.input)
-    if args.oracle:
-        result = grid_oracle(state, args.resolution)
+    if args.oracle is not None:
+        result = grid_oracle(state, args.oracle)
     else:
         result = geometric_measure(state)
     _write_json(args.output, {"lambda": result.lam, "eg_bits": result.eg,
@@ -161,9 +161,7 @@ def _cmd_twirl(args) -> int:
     state = _load_state(args.input)
     ent = geometric_measure(state)
     report = detect_group(ent.config, args.tol)
-    certificate = certify_equivalence(
-        state, ent, report,
-        require_total_invariance=not args.allow_non_invariant)
+    certificate = certify_equivalence(state, ent, report)
     _write_json(args.output, {
         "group": report.label,
         "lambda_claimed": certificate.lambda_claimed,
@@ -285,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     entangle = commands.add_parser("entangle", help="geometric entanglement")
     _add_io(entangle)
-    entangle.add_argument("--oracle", action="store_true",
-                          help="use the exhaustive grid instead of multi-start")
-    entangle.add_argument("--resolution", type=int, default=300)
+    entangle.add_argument("--oracle", type=int, nargs="?", const=300, metavar="RESOLUTION",
+                          help="use the exhaustive RESOLUTION x RESOLUTION grid (bare: 300, "
+                               "at least 8) instead of the multi-start ascent")
     entangle.set_defaults(func=_cmd_entangle)
 
     symmetry = commands.add_parser("symmetry", help="detect the point group")
@@ -309,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     twirl = commands.add_parser("twirl", help="group-average certificate")
     _add_io(twirl)
     _add_tol(twirl)
-    twirl.add_argument("--allow-non-invariant", action="store_true",
-                       help="run the construction even off-catalog")
     twirl.set_defaults(func=_cmd_twirl)
 
     plot = commands.add_parser("plot", help="emit point-cluster CSV (and SVG)")

@@ -41,8 +41,8 @@ the polar stacks, and a stack of p >= m points can split into a generic
 2m-point D_m orbit, m points near each pole, without losing D_m.  Nor is
 the verdict the hypothesis of the twirl certificate, which needs psi's
 isotypic multiplicity under the group to be 1: `certify_equivalence`
-computes that multiplicity itself and reports it beside its verdict.  The
-paper's abstract does not settle which notion "totally invariant" should
+never reads the verdict, but computes that multiplicity itself and lets
+it and its four legs decide.  The paper's abstract does not settle which notion "totally invariant" should
 name; the pattern verdict is kept because the catalog is built on it.
 """
 from __future__ import annotations
@@ -52,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symstate import (COINCIDENCE_TOL, TWO_PI, MajoranaConfig, Rotation, _axis_angle, _cross,
-                       _norms, _site_decomposition, pairwise_angles)
+from .symstate import (COINCIDENCE_TOL, TWO_PI, MajoranaConfig, Rotation, _axis_angle,
+                       _check_integer, _cross, _norms, _site_decomposition, pairwise_angles)
 
 # Labels for report.kind.
 TRIVIAL = "trivial"
@@ -383,8 +383,7 @@ def contains_dihedral(config: MajoranaConfig, m: int, tol: float = COINCIDENCE_T
     holds D_m exactly when m divides k, and T, O and Y hold the orders in
     `_DIHEDRAL_SUBGROUPS`.  Raises ValueError unless m is an integer (not a
     bool) of at least 2."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"dihedral order must be an integer of at least 2, got {m!r}")
+    _check_integer(m, "dihedral order", 2)
     report = detect_group(config, tol)
     if report.kind == DIHEDRAL:
         return report.order % m == 0

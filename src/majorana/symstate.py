@@ -121,6 +121,16 @@ def _canonical_points(points: np.ndarray) -> np.ndarray:
     return np.column_stack([theta[order], phi[order]])
 
 
+def _check_integer(value, what: str, minimum: int) -> int:
+    """`value` as an int; ValueError unless it is an integer (a numpy one
+    counts, a bool does not, since numpy indexes with it as a mask) of at
+    least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        bound = "a positive integer" if minimum == 1 else f"an integer of at least {minimum}"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricState:
     """Normalized Dicke-amplitude vector for n qubits.
@@ -135,8 +145,7 @@ class SymmetricState:
     amps: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"qubit count must be a positive integer, got {self.n!r}")
+        n = _check_integer(self.n, "qubit count", 1)
         amps = np.atleast_1d(np.asarray(self.amps, dtype=complex))
         if amps.shape != (self.n + 1,):
             raise ValueError(
@@ -151,7 +160,7 @@ class SymmetricState:
             raise ValueError("amplitude vector must have nonzero norm")
         amps = amps / norm
         amps.flags.writeable = False
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "amps", amps)
 
 
@@ -177,15 +186,14 @@ class MajoranaConfig:
     global_phase: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"point count must be a positive integer, got {self.n!r}")
+        n = _check_integer(self.n, "point count", 1)
         pts = np.asarray(self.points, dtype=float)
         if pts.size != 2 * self.n:
             raise ValueError(f"expected {self.n} (theta, phi) pairs, got shape {pts.shape}")
         phase = float(self.global_phase)
         if not (np.all(np.isfinite(pts)) and math.isfinite(phase)):
             raise ValueError("point angles and global phase must be finite")
-        self._store(int(self.n), _canonical_points(pts.reshape(self.n, 2)), phase)
+        self._store(n, _canonical_points(pts.reshape(n, 2)), phase)
 
     def _store(self, n: int, points: np.ndarray, phase: float) -> None:
         points.flags.writeable = False
@@ -501,7 +509,9 @@ def _check_angles(theta: float, phi: float) -> None:
 def coherent_amplitudes(n: int, theta: float, phi: float) -> np.ndarray:
     """Dicke amplitudes of the n-fold product of one qubit along (theta, phi);
     theta is taken mod 2*pi, and above pi read as 2*pi - theta at phi + pi.
-    Raises ValueError unless both angles are finite."""
+    Raises ValueError unless n is a positive integer and both angles are
+    finite."""
+    n = _check_integer(n, "qubit count", 1)
     _check_angles(theta, phi)
     theta = float(theta) % TWO_PI
     if theta > math.pi:

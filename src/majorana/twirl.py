@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import EntanglementResult
-from .symmetry import O2, SO2, SO3, TRIVIAL, SymmetryReport
+from .symmetry import O2, SO2, TRIVIAL, SymmetryReport
 from .symstate import (SymmetricState, _axis_angle, _frame, _wigner_stack, coherent_amplitudes,
                        wigner_rotation)
 
@@ -78,9 +78,6 @@ def group_average(direction: tuple[float, float], group: SymmetryReport,
     theta, phi = float(direction[0]), float(direction[1])
     if group.kind == TRIVIAL:
         raise ValueError("averaging over the trivial group certifies nothing")
-    if group.kind == SO3:
-        raise ValueError("all-coincident configurations are product states; "
-                         "no certificate applies")
     vec = coherent_amplitudes(n, theta, phi)
     if group.kind in (SO2, O2):
         align = _frame(n, group.axis)
@@ -110,20 +107,19 @@ def _isotypic_multiplicity(amps: np.ndarray, mats: np.ndarray) -> int:
 
 
 def certify_equivalence(state: SymmetricState, ent: EntanglementResult,
-                        sym: SymmetryReport, *,
-                        require_total_invariance: bool = True) -> TwirlCertificate:
+                        sym: SymmetryReport) -> TwirlCertificate:
     """Build omega from the maximizer and check the certificate algebra.
 
-    With `require_total_invariance=False` the machinery also runs for
-    groups outside the catalog, which is how the negative control shows
-    the hypothesis doing real work: the residual then fails positivity.
+    The construction runs for every group detection reports; the pattern
+    verdict `sym.totally_invariant` is not read.  The four legs decide
+    `valid`, and a multiplicity above 1, the construction's hypothesis
+    failing, leads the `reason`.  It raises ValueError only where no
+    certificate can be built: the trivial group, a product state
+    (1 - Lambda = 0) and an unconverged measure (no maximizer).
     The multiplicity is computed from the Wigner matrices the average
     already built; it is 1 for the axial kinds, where psi is an
     eigenvector of the axial Jz and Jz has no repeated eigenvalue.
     """
-    if require_total_invariance and not sym.totally_invariant:
-        raise ValueError("state is not totally invariant; pass "
-                         "require_total_invariance=False to probe anyway")
     if not ent.converged:
         raise ValueError("optimizer did not converge; certificate needs a maximizer")
     lam = ent.lam

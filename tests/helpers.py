@@ -1,7 +1,11 @@
 """Shared utilities for the test suite."""
+import itertools
+import math
+
 import numpy as np
 
 from majorana import MajoranaConfig, Rotation
+from majorana.catalog import platonic_vertices
 from majorana.symstate import unit_to_angles
 
 
@@ -24,6 +28,23 @@ def perturb_config(config: MajoranaConfig, index: int, delta: float) -> Majorana
     vecs[index] = Rotation(axis, delta).apply(u)
     points = np.array([unit_to_angles(v) for v in vecs])
     return MajoranaConfig(config.n, points, config.global_phase)
+
+
+def config_of(vecs) -> MajoranaConfig:
+    theta, phi = unit_to_angles(vecs)
+    return MajoranaConfig(len(vecs), np.column_stack([theta, phi]))
+
+
+def cuboctahedron() -> np.ndarray:
+    return np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+                     if np.count_nonzero(v) == 2]) / math.sqrt(2.0)
+
+
+def icosidodecahedron() -> np.ndarray:
+    ico = platonic_vertices("icosahedron")
+    i, j = np.nonzero(np.triu(ico @ ico.T > 0.4, k=1))  # the 30 edges
+    mid = ico[i] + ico[j]
+    return mid / np.linalg.norm(mid, axis=1)[:, None]
 
 
 def rotate_points(config: MajoranaConfig, rotation: Rotation) -> MajoranaConfig:

@@ -212,8 +212,7 @@ def test_criterion_7_twirl_certificates():
     cone = MajoranaConfig(3, points)
     cone_state = to_dicke(cone)
     cone_cert = certify_equivalence(cone_state, geometric_measure(cone_state),
-                                    detect_group(cone),
-                                    require_total_invariance=False)
+                                    detect_group(cone))
     assert not cone_cert.valid
 
     assert not failures, "certificates failed for: " + ", ".join(failures)

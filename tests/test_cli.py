@@ -14,6 +14,8 @@ import majorana
 
 from majorana.cli import main
 
+from helpers import config_of, cuboctahedron, icosidodecahedron
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -72,10 +74,16 @@ def test_entangle_reports_ascent(capsys, tmp_path):
 def test_entangle_oracle_flag(capsys, tmp_path):
     state = tmp_path / "w4.json"
     run(capsys, "gen", "dicke", "--n", "4", "--k", "1", "-o", str(state))
-    code, out, _ = run(capsys, "entangle", "-i", str(state), "--oracle",
-                       "--resolution", "60")
+    code, out, _ = run(capsys, "entangle", "-i", str(state), "--oracle", "60")
     assert code == 0
     assert abs(json.loads(out)["lambda"] - 27 / 64) < 1e-6
+    # one option carries the grid and its resolution, 300 when bare; a grid
+    # below 8 x 8 is refused
+    assert json.loads(out)["starts_used"] == 60 * 60
+    code, out, _ = run(capsys, "entangle", "-i", str(state), "--oracle")
+    assert code == 0 and json.loads(out)["starts_used"] == 300 * 300
+    code, _, err = run(capsys, "entangle", "-i", str(state), "--oracle", "7")
+    assert code == 1 and "at least 8" in err
 
 
 def test_symmetry_command(capsys, tmp_path):
@@ -147,6 +155,9 @@ def test_product_state_commands(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0 and payload["result"] != "Inequivalent"
     assert payload["signature_first"] == payload["signature_second"] == [5]
+    # 1 - Lambda vanishes, so no certificate can be built
+    code, out, err = run(capsys, "twirl", "-i", str(tilted))
+    assert code == 1 and out == "" and "product state" in err
 
 
 def test_slocc_command_reuses_the_verdicts_signatures(capsys, tmp_path, monkeypatch):
@@ -192,6 +203,24 @@ def test_twirl_command(capsys, tmp_path):
     assert abs(payload["lambda_claimed"] - 0.5) < 1e-9
     assert payload["multiplicity"] == 1
     assert payload["reason"] is None
+
+
+def test_twirl_certifies_every_detected_group(capsys, tmp_path):
+    # the certificate runs without a pattern gate: the two-fold-axis solids
+    # certify, and the C3 cone fails with the multiplicity as its reason
+    cone = np.array([[math.pi / 3, 2 * math.pi * j / 3] for j in range(3)])
+    cases = [(config_of(cuboctahedron()), ("O", True, 1)),
+             (config_of(icosidodecahedron()), ("Y", True, 1)),
+             (majorana.MajoranaConfig(3, cone), ("C3", False, 2))]
+    for config, expected in cases:
+        path = tmp_path / "points.json"
+        path.write_text(majorana.to_json_text(config))
+        code, out, _ = run(capsys, "twirl", "-i", str(path))
+        assert code == 0, expected
+        payload = json.loads(out)
+        assert (payload["group"], payload["valid"], payload["multiplicity"]) == expected
+        assert (payload["reason"] is None) == payload["valid"]
+    assert payload["reason"].startswith("psi's isotypic multiplicity is 2")
 
 
 def test_twirl_refuses_non_invariant_state(capsys, tmp_path):

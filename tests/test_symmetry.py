@@ -1,5 +1,4 @@
 """Point-group detection, total invariance, dihedral membership."""
-import itertools
 import math
 
 import numpy as np
@@ -27,8 +26,8 @@ from majorana.catalog import (
 from majorana.symstate import (COINCIDENCE_TOL, Rotation, _axis_angle, site_decomposition,
                                unit_to_angles)
 
-from helpers import (PRODUCT_THETAS, perturb_config, product_states, random_rotation,
-                     rotate_points)
+from helpers import (PRODUCT_THETAS, config_of, cuboctahedron, icosidodecahedron, perturb_config,
+                     product_states, random_rotation, rotate_points)
 
 
 def _config(state):
@@ -551,30 +550,13 @@ def test_product_states_are_so3():
                 assert detect_group(to_majorana(state)).label == "SO(3)", (n, theta)
 
 
-def _config_of(vecs):
-    theta, phi = unit_to_angles(vecs)
-    return MajoranaConfig(len(vecs), np.column_stack([theta, phi]))
-
-
-def _cuboctahedron():
-    return np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-                     if np.count_nonzero(v) == 2]) / math.sqrt(2.0)
-
-
-def _icosidodecahedron():
-    ico = platonic_vertices("icosahedron")
-    i, j = np.nonzero(np.triu(ico @ ico.T > 0.4, k=1))  # the 30 edges
-    mid = ico[i] + ico[j]
-    return mid / np.linalg.norm(mid, axis=1)[:, None]
-
-
 def test_two_fold_axis_witness():
     # the cuboctahedron and the icosidodecahedron lie on the two-fold axes of
     # O and Y, which the pattern leaves empty: the verdict stays False, and
     # the witness names the axis
-    assert len(_icosidodecahedron()) == 30
-    for vecs, label in ((_cuboctahedron(), "O"), (_icosidodecahedron(), "Y")):
-        report = detect_group(_config_of(vecs))
+    assert len(icosidodecahedron()) == 30
+    for vecs, label in ((cuboctahedron(), "O"), (icosidodecahedron(), "Y")):
+        report = detect_group(config_of(vecs))
         assert report.label == label
         assert not report.totally_invariant
         assert report.witness == "a point lies on a two-fold axis, which the pattern leaves empty"
@@ -595,7 +577,7 @@ def _verdict_cases():
     cube, octa = platonic_vertices("cube"), platonic_vertices("octahedron")
     ico = platonic_vertices("icosahedron")
     tetrahedron = cube[np.prod(cube, axis=1) > 0]  # in the octahedron's frame
-    cubocta, icosid = _cuboctahedron(), _icosidodecahedron()
+    cubocta, icosid = cuboctahedron(), icosidodecahedron()
     dihedral = [(_dihedral_vecs(n - 2 * p, p), f"D{n - 2 * p}", True)
                 for n, p in ((6, 2), (8, 3), (9, 3), (10, 4), (11, 4), (12, 4), (12, 5),
                              (13, 5), (14, 5), (14, 6))]
@@ -620,7 +602,7 @@ def test_pattern_verdicts_that_rigidity_contradicts():
     turns = [np.eye(3)] + [random_rotation(rng).matrix() for _ in range(4)]
     for vecs, label, invariant in _verdict_cases():
         for turn in turns:
-            config = _config_of(vecs @ turn.T)
+            config = config_of(vecs @ turn.T)
             for tol in (1e-6, 1e-4, 1e-3):
                 report = detect_group(config, tol)
                 assert (report.label, report.totally_invariant) == (label, invariant), \
@@ -633,10 +615,10 @@ def test_stabiliser_orders():
     rng = np.random.default_rng(13)
     cube = platonic_vertices("cube")
     point = rng.normal(size=3)
-    generic = detect_group(_config_of(cube)).elements @ (point / np.linalg.norm(point))
+    generic = detect_group(config_of(cube)).elements @ (point / np.linalg.norm(point))
     cases = [(platonic_vertices("tetrahedron"), 3), (cube, 3),
              (platonic_vertices("dodecahedron"), 3), (platonic_vertices("octahedron"), 4),
-             (platonic_vertices("icosahedron"), 5), (_cuboctahedron(), 2), (generic, 1)]
+             (platonic_vertices("icosahedron"), 5), (cuboctahedron(), 2), (generic, 1)]
     for vecs, order in cases:
         for turn in (np.eye(3), random_rotation(rng).matrix()):
             sites, mult = site_decomposition(vecs @ turn.T, COINCIDENCE_TOL)

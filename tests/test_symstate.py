@@ -14,6 +14,7 @@ from majorana import (
     coherent_amplitudes,
     config_close,
     gen_dicke,
+    gen_dihedral,
     log_overlap_sq,
     log_overlap_sq_gradient,
     parse_json_text,
@@ -341,6 +342,26 @@ def test_bool_qubit_count_is_refused():
         SymmetricState(True, [1.0, 1.0])
     with pytest.raises(ValueError, match="positive integer"):
         MajoranaConfig(True, [[0.1, 0.2]])
+
+
+def test_integer_parameters_are_checked():
+    # numpy reads a bool index as a mask: gen_dicke(3, True) once set every
+    # amplitude, gen_dihedral(6, True) gave the uniform vector, and
+    # coherent_amplitudes took True for one qubit and 0 for a 1-vector
+    cases = [(gen_dicke, (3, True), "at least 0"), (gen_dicke, (3, 1.0), "at least 0"),
+             (gen_dicke, (3, -1), "at least 0"), (gen_dihedral, (6, True), "at least 0"),
+             (gen_dihedral, (6, 1.0), "at least 0"), (gen_dihedral, (6, -1), "at least 0"),
+             (coherent_amplitudes, (True, 0.3, 0.2), "positive integer"),
+             (coherent_amplitudes, (0, 0.3, 0.2), "positive integer"),
+             (coherent_amplitudes, (-1, 0.3, 0.2), "positive integer"),
+             (coherent_amplitudes, (2.0, 0.3, 0.2), "positive integer")]
+    for func, args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            func(*args)
+    np.testing.assert_array_equal(gen_dicke(3, np.int64(1)).amps, [0, 1, 0, 0])
+    np.testing.assert_array_equal(gen_dihedral(6, np.int64(1)).amps,
+                                  np.array([0, 1, 0, 0, 0, 1, 0]) / math.sqrt(2))
+    assert coherent_amplitudes(np.int64(2), 0.3, 0.2).shape == (3,)
 
 
 def test_rotation_compose_inverse():

@@ -24,7 +24,7 @@ from majorana.catalog import gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen
 from majorana.symstate import _axis_angle, _wigner_stack, spin_matrices
 from majorana.twirl import group_average
 
-from helpers import random_rotation
+from helpers import config_of, cuboctahedron, icosidodecahedron, random_rotation
 
 
 def test_spin_commutators():
@@ -200,12 +200,56 @@ def test_negative_control_cone_ring():
     assert report.label == "C3"
     assert not report.totally_invariant
     ent = geometric_measure(state)
-    with pytest.raises(ValueError):
-        certify_equivalence(state, ent, report)
-    cert = certify_equivalence(state, ent, report, require_total_invariance=False)
+    cert = certify_equivalence(state, ent, report)
     assert not cert.valid
+    assert cert.multiplicity == 2
     assert cert.delta_min_eig < -1e-6
     assert abs(cert.overlap - cert.lambda_claimed) < 1e-9
+
+
+def _cone(m, north, south, rng):
+    """An m-ring at a seeded latitude and azimuth, with polar stacks."""
+    z, start = rng.uniform(-0.8, 0.8), rng.uniform(0.0, 2 * math.pi)
+    azimuths = start + 2 * math.pi * np.arange(m) / m
+    ring = np.column_stack([math.sqrt(1 - z * z) * np.cos(azimuths),
+                            math.sqrt(1 - z * z) * np.sin(azimuths), np.full(m, z)])
+    poles = np.array([[0.0, 0.0, 1.0]] * north + [[0.0, 0.0, -1.0]] * south)
+    return np.vstack([ring, poles.reshape(-1, 3)])
+
+
+def test_certificate_verdict_follows_multiplicity():
+    # without a pattern gate the certificate judges every detected group:
+    # it holds where psi's isotypic multiplicity is 1, and where it is
+    # above 1 it fails and its reason opens with the multiplicity
+    rng = np.random.default_rng(29)
+    cases = [(_cone(m, north, south, rng), f"C{m}")
+             for m in (3, 4) for north, south in ((0, 0), (1, 0), (2, 1), (m, 0))]
+    for source, label in ((gen_dihedral(3, 0), "D3"), (gen_ghz(4), "D4"),
+                          (gen_tetrahedral(), "T"), (gen_platonic("octahedron"), "O")):
+        start = rng.normal(size=3)
+        cases.append((detect_group(to_majorana(source)).elements @ (start / np.linalg.norm(start)),
+                      label))
+    cases += [(cuboctahedron(), "O"), (icosidodecahedron(), "Y")]
+    certs = []
+    for vecs, label in cases:
+        cfg = config_of(vecs)
+        state = to_dicke(cfg)
+        report = detect_group(cfg)
+        assert report.label == label
+        cert = certify_equivalence(state, geometric_measure(state), report)
+        if cert.multiplicity == 1:
+            assert cert.valid, (label, cfg.n, cert.reason)
+        else:
+            assert not cert.valid, (label, cfg.n)
+            assert cert.reason.startswith(
+                f"psi's isotypic multiplicity is {cert.multiplicity}, not 1"), cert.reason
+        certs.append(cert)
+    # every cone and generic orbit fails; the two solids, on the two-fold
+    # axes of O and Y that the pattern verdict leaves empty, certify
+    assert min(cert.multiplicity for cert in certs[:-2]) >= 2
+    for cert, lam in zip(certs[-2:], (5 / 32, 0.08008)):
+        assert (cert.valid, cert.multiplicity, cert.reason) == (True, 1, None)
+        assert abs(cert.lambda_claimed - lam) < 1e-12
 
 
 def test_certificate_rejects_product_state():
@@ -213,7 +257,7 @@ def test_certificate_rejects_product_state():
     ent = geometric_measure(state)
     report = detect_group(to_majorana(state))
     with pytest.raises(ValueError):
-        certify_equivalence(state, ent, report, require_total_invariance=False)
+        certify_equivalence(state, ent, report)
 
 
 def test_certificate_requires_convergence():
