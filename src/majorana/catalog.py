@@ -51,6 +51,7 @@ class CatalogEntry:
 
 def gen_dicke(n: int, k: int) -> SymmetricState:
     """Basis state with k excitations: n-k points north, k points south."""
+    n = _check_integer(n, "qubit count", 1)
     if _check_integer(k, "excitation count", 0) > n:
         raise ValueError(f"excitation count {k} out of range for n={n}")
     amps = np.zeros(n + 1)
@@ -60,8 +61,7 @@ def gen_dicke(n: int, k: int) -> SymmetricState:
 
 def gen_ghz(n: int) -> SymmetricState:
     """Equal superposition of all-zero and all-one: an equatorial n-ring."""
-    if n < 2:
-        raise ValueError("GHZ needs at least 2 qubits")
+    n = _check_integer(n, "qubit count", 2)
     amps = np.zeros(n + 1)
     amps[0] = amps[n] = 1.0
     return SymmetricState(n, amps)
@@ -69,6 +69,7 @@ def gen_ghz(n: int) -> SymmetricState:
 
 def gen_dihedral(n: int, p: int) -> SymmetricState:
     """(|k=p> + |k=n-p>)/sqrt(2): p points per pole, n-2p on the equator."""
+    n = _check_integer(n, "qubit count", 1)
     if n - 2 * _check_integer(p, "polar stack size", 0) < 2:
         raise ValueError(f"need a ring of n-2p >= 2 points, got p={p}, n={n}")
     amps = np.zeros(n + 1)
@@ -129,7 +130,7 @@ def gen_platonic(solid: str, multiplicity: int = 1) -> SymmetricState:
     the others are set to exact zeros in place of their rounding noise."""
     verts = platonic_vertices(solid)
     cap = MAX_MULTIPLICITY[solid]
-    if not 1 <= multiplicity <= cap:
+    if _check_integer(multiplicity, "multiplicity", 1) > cap:
         raise ValueError(f"multiplicity for {solid} must be in 1..{cap}, got {multiplicity}")
     theta, phi = unit_to_angles(np.repeat(verts, multiplicity, axis=0))
     amps = to_dicke(MajoranaConfig(len(theta), np.column_stack([theta, phi]))).amps.copy()
@@ -147,8 +148,7 @@ def totally_invariant_states(n: int) -> list[CatalogEntry]:
     is complete for n <= 7.  The vertex octahedron is omitted because it
     is a rotated copy of the dihedral state with p=1 on six qubits.
     """
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
+    n = _check_integer(n, "qubit count", 2)
     entries = [CatalogEntry(f"S({n},{k})", {"n": n, "k": k}, gen_dicke(n, k))
                for k in range(1, n)]
     for p in range((n - 2) // 2 + 1):

@@ -69,6 +69,7 @@ from .symstate import (
     SymmetricState,
     _binomial_rows,
     _check_angles,
+    _check_integer,
     _norms,
     _spinors,
     angles_to_unit,
@@ -415,8 +416,7 @@ def geometric_measure(state: SymmetricState) -> EntanglementResult:
 def grid_oracle(state: SymmetricState, resolution: int = 300) -> EntanglementResult:
     """Exhaustive equal-area scan plus one polish; independent of the
     multi-start path so the two can check each other."""
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
+    resolution = _check_integer(resolution, "resolution", 8)
     j = np.arange(resolution)
     z = 1.0 - (2.0 * j + 1.0) / resolution
     theta = np.arccos(z)

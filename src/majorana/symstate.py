@@ -607,8 +607,10 @@ def config_close(a: MajoranaConfig, b: MajoranaConfig, tol: float = 1e-8) -> boo
     of `b` so that every pair is at most `tol` apart: a perfect matching on
     the graph of such pairs, found by augmenting paths.  Neither the order
     of coincident points nor an assignment that is cheaper in total but has
-    one long pair can cause a spurious mismatch.
+    one long pair can cause a spurious mismatch.  Raises ValueError unless
+    `tol` is finite and positive.
     """
+    _check_tolerance(tol)
     if a.n != b.n:
         return False
     near = pairwise_angles(a.unit_vectors(), b.unit_vectors()) <= tol

@@ -101,6 +101,20 @@ def test_platonic_multiplicity_caps():
         gen_platonic("dodecahedron", 3)
     with pytest.raises(ValueError):
         gen_platonic("nonagon")
+    for multiplicity in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+            gen_platonic("cube", multiplicity)
+    assert gen_platonic("cube", np.int64(2)).n == 16
+
+
+@pytest.mark.parametrize("make", [lambda n: gen_dicke(n, 1), gen_ghz,
+                                  lambda n: gen_dihedral(n, 1), totally_invariant_states],
+                         ids=["dicke", "ghz", "dihedral", "inventory"])
+@pytest.mark.parametrize("n", [4.0, True, np.float64(4.0)], ids=["float", "bool", "numpy"])
+def test_qubit_count_must_be_an_integer(make, n):
+    # the count is checked before numpy sizes an array with it
+    with pytest.raises(ValueError, match="qubit count must be"):
+        make(n)
 
 
 def test_platonic_amplitudes_keep_one_residue_class():

@@ -94,7 +94,17 @@ def test_symmetry_command(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["group"] == "T"
     assert payload["totally_invariant"] is True
+    # both generators are three-fold turns
     assert len(payload["generators"]) == 2
+    assert all(abs(g["angle"] - 2 * math.pi / 3) <= 1e-12 for g in payload["generators"])
+    # the total-invariance verdict, read off the sites' stabiliser orders
+    icosahedron = tmp_path / "icosahedron.json"
+    run(capsys, "gen", "platonic", "--solid", "icosahedron", "-o", str(icosahedron))
+    code, out, _ = run(capsys, "symmetry", "-i", str(icosahedron))
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["group"], payload["totally_invariant"], payload["witness"]) == (
+        "Y", True, "points occupy icosahedron vertex positions (12 sites)")
 
 
 def test_gen_platonic_multiplicity(capsys, tmp_path):
@@ -188,9 +198,21 @@ def test_table4_command(capsys):
     code, out, _ = run(capsys, "table4")
     assert code == 0
     payload = json.loads(out)
-    assert len(payload["rows"]) == 4
-    assert len(payload["verdicts"]) == 6
-    assert all(v["result"] == "Inequivalent" for v in payload["verdicts"])
+    # each state's one configuration serves its detection, its signature
+    # and every verdict it takes part in
+    assert [(r["name"], r["group"], r["signature"]) for r in payload["rows"]] == [
+        ("T", "T", [1, 1, 1, 1]), ("GHZ4", "D4", [1, 1, 1, 1]), ("S(4,2)", "O(2)", [2, 2]),
+        ("W4", "SO(2)", [3, 1])]
+    differ = "coincidence signatures differ: "
+    assert [(v["first"], v["second"], v["result"], v["reason"])
+            for v in payload["verdicts"]] == [
+        ("T", "GHZ4", "Inequivalent", "rank bound of the first state (3) exceeds the known "
+                                      "rank of the second state (2)"),
+        ("T", "S(4,2)", "Inequivalent", differ + "(1,1,1,1) vs (2,2)"),
+        ("T", "W4", "Inequivalent", differ + "(1,1,1,1) vs (3,1)"),
+        ("GHZ4", "S(4,2)", "Inequivalent", differ + "(1,1,1,1) vs (2,2)"),
+        ("GHZ4", "W4", "Inequivalent", differ + "(1,1,1,1) vs (3,1)"),
+        ("S(4,2)", "W4", "Inequivalent", differ + "(2,2) vs (3,1)")]
 
 
 def test_twirl_command(capsys, tmp_path):
@@ -206,15 +228,17 @@ def test_twirl_command(capsys, tmp_path):
 
 
 def test_twirl_certifies_every_detected_group(capsys, tmp_path):
-    # the certificate runs without a pattern gate: the two-fold-axis solids
-    # certify, and the C3 cone fails with the multiplicity as its reason
+    # the certificate runs without a pattern gate: the dodecahedron and the
+    # two-fold-axis solids certify, and the C3 cone fails with the
+    # multiplicity as its reason
     cone = np.array([[math.pi / 3, 2 * math.pi * j / 3] for j in range(3)])
-    cases = [(config_of(cuboctahedron()), ("O", True, 1)),
+    cases = [(majorana.gen_platonic("dodecahedron"), ("Y", True, 1)),
+             (config_of(cuboctahedron()), ("O", True, 1)),
              (config_of(icosidodecahedron()), ("Y", True, 1)),
              (majorana.MajoranaConfig(3, cone), ("C3", False, 2))]
-    for config, expected in cases:
-        path = tmp_path / "points.json"
-        path.write_text(majorana.to_json_text(config))
+    for data, expected in cases:
+        path = tmp_path / "input.json"
+        path.write_text(majorana.to_json_text(data))
         code, out, _ = run(capsys, "twirl", "-i", str(path))
         assert code == 0, expected
         payload = json.loads(out)
@@ -245,26 +269,37 @@ def test_plot_csv_and_svg(capsys, tmp_path):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "theta,phi,x,y,z,multiplicity,role"
-    roles = [line.split(",")[-1] for line in lines[1:]]
-    assert roles.count("point") == 2
-    assert roles.count("maximizer") == 1
-    mults = [int(line.split(",")[-2]) for line in lines[1:]]
-    assert sorted(mults) == [0, 2, 4]
+    # one row per cluster, four points north and two south, then the maximizer
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[-1], int(r[-2])) for r in rows] == [("point", 4), ("point", 2), ("maximizer", 0)]
+    assert (float(rows[0][0]), float(rows[1][0])) == (0.0, math.pi)
     assert svg.read_text().startswith("<svg")
 
 
 def test_deterministic_output(capsys, tmp_path):
-    state = tmp_path / "d.json"
-    run(capsys, "gen", "dihedral", "--n", "7", "--p", "2", "-o", str(state))
-    _, first, _ = run(capsys, "entangle", "-i", str(state))
-    _, second, _ = run(capsys, "entangle", "-i", str(state))
-    assert first == second
+    # D5(7,2) takes its meridian maximum; the random state runs the ascent
+    # from the lattice's max(32, n^2) = 144 starts
+    dihedral, random12 = tmp_path / "d.json", tmp_path / "r12.json"
+    run(capsys, "gen", "dihedral", "--n", "7", "--p", "2", "-o", str(dihedral))
+    random12.write_text(majorana.to_json_text(
+        majorana.random_symmetric_state(12, np.random.default_rng(3))))
+    for state, starts in ((dihedral, 0), (random12, 144)):
+        _, first, _ = run(capsys, "entangle", "-i", str(state))
+        _, second, _ = run(capsys, "entangle", "-i", str(state))
+        assert first == second
+        assert json.loads(first)["starts_used"] == starts
 
 
-def test_exit_code_domain_error(capsys):
+def test_exit_code_domain_error(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "dicke", "--n", "4", "--k", "9")
     assert code == 1
     assert "k" in err or "error" in err
+    # a tolerance that merges GHZ64's whole ring into one cancelling cluster
+    # is refused, not given a noise direction
+    ring = tmp_path / "ghz64.json"
+    run(capsys, "gen", "ghz", "--n", "64", "-o", str(ring))
+    code, out, err = run(capsys, "symmetry", "-i", str(ring), "--tol", "0.1")
+    assert code == 1 and out == "" and "no mean direction" in err
 
 
 def test_points_that_miss_the_state_are_refused(capsys, tmp_path, monkeypatch):

@@ -243,8 +243,11 @@ def test_grid_oracle_handles_pole_maximizer():
 
 
 def test_grid_oracle_rejects_tiny_resolution():
-    with pytest.raises(ValueError):
-        grid_oracle(gen_ghz(3), resolution=7)
+    # a fractional resolution would space the grid for one count and scan another
+    for resolution in (7, 8.5, 8.0, True):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            grid_oracle(gen_dicke(4, 1), resolution)
+    assert grid_oracle(gen_dicke(4, 1), 8).starts_used == 64
 
 
 def test_fibonacci_sphere_spread():

@@ -602,6 +602,10 @@ def test_clustering_tolerance_must_be_finite_and_positive(tol):
         detect_group(to_majorana(gen_ghz(4)), tol)
     with pytest.raises(ValueError, match="tolerance"):
         degeneracy_signature(to_majorana(gen_dicke(4, 1)), tol)
+    # a NaN or negative matching tolerance must not read as "no match"
+    config = to_majorana(gen_ghz(4))
+    with pytest.raises(ValueError, match="tolerance"):
+        config_close(config, config, tol)
 
 
 def _site_decomposition_loop(vecs, tol):
