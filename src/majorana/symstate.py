@@ -20,10 +20,9 @@ the product expansion convolves one such factor per point, and
 `_binomial_rows` expands n equal ones into sqrt(C(n,k)) a^(n-k) b^k.
 
 Rotations move the points rigidly (`rotate`) and the amplitudes by the
-spin-n/2 unitary (`wigner_rotation`, the one-rotation case of the batched
-`_wigner_stack`, which takes arrays of axes and angles), so `rotate_state`
-finds no roots.  `_axis_angle` reads axes and angles off a (G, 3, 3) matrix
-stack; `Rotation.from_matrix` is its one-matrix case, checked for rotations.
+spin-n/2 unitary (`wigner_rotation`), so `rotate_state` finds no roots.
+`_axis_angle` reads axes and angles off a (G, 3, 3) matrix stack;
+`Rotation.from_matrix` is its one-matrix case, checked for rotations.
 Every layer takes the axis-wise norms and cross products of real point
 arrays through `_norms` and `_cross`, which give numpy's bits without its
 dispatch.
@@ -354,34 +353,27 @@ def _jy_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _frame(n: int, axes) -> np.ndarray:
-    """A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the angles of each
+def _frame(n: int, axis) -> np.ndarray:
+    """A = exp(-i phi Jz) exp(-i theta Jy), (theta, phi) the angles of the
     axis: the action of a rotation carrying +z onto it.  Jz is diagonal and
-    Jy's eigenbasis gives the other factor, with no matrix exponential.
-    An axis of shape (3,) gives one frame, a stack (G, 3) a stack (G, n+1, n+1)."""
+    Jy's eigenbasis gives the other factor, with no matrix exponential."""
     if n > MAX_DEGREE:
         raise ValueError(f"qubit count {n} exceeds supported maximum {MAX_DEGREE}")
-    x, y, z = np.asarray(axes, dtype=float).T
+    x, y, z = np.asarray(axis, dtype=float)
     theta, phi = np.arctan2(np.hypot(x, y), z), np.arctan2(y, x)
     values, vectors = _jy_eigenbasis(n)
-    small_d = (vectors * np.exp(-1j * theta[..., None, None] * values)) @ vectors.conj().T
-    return np.exp(-1j * phi[..., None, None] * (n / 2.0 - np.arange(n + 1))[:, None]) * small_d
-
-
-def _wigner_stack(n: int, axes, angles) -> np.ndarray:
-    """`wigner_rotation` of every rotation (axes[g], angles[g]) at once, shape
-    (G, n+1, n+1): one `_frame` over the axes and batched matrix products."""
-    align = _frame(n, axes)
-    turn = np.exp(-1j * np.asarray(angles, dtype=float)[:, None, None]
-                  * (n / 2.0 - np.arange(n + 1)))
-    return (align * turn) @ np.swapaxes(align.conj(), -1, -2)
+    small_d = (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T
+    return np.exp(-1j * phi * (n / 2.0 - np.arange(n + 1)))[:, None] * small_d
 
 
 def wigner_rotation(n: int, r: Rotation) -> np.ndarray:
     """Unitary action of a sphere rotation on the n-qubit symmetric subspace:
     exp(-i alpha a.J) = A exp(-i alpha Jz) A^dagger, with a the rotation's
-    axis and A = `_frame(n, a)`; the one-rotation case of `_wigner_stack`."""
-    return _wigner_stack(n, [r.axis], [r.angle])[0]
+    axis and A = `_frame(n, a)`; ValueError unless n is a positive integer."""
+    n = _check_integer(n, "qubit count", 1)
+    align = _frame(n, r.axis)
+    turn = np.exp(-1j * r.angle * (n / 2.0 - np.arange(n + 1)))
+    return (align * turn) @ align.conj().T
 
 
 def _spinors(theta, phi) -> tuple[np.ndarray, np.ndarray]:

@@ -2,15 +2,15 @@
 certificate.
 
 Everything lives in the (n+1)-dimensional symmetric subspace: product
-states along a direction are the coherent vectors, rotations act through
-their Wigner matrices, one (G, n+1, n+1) stack per group built from the
-axes and angles of its (G, 3, 3) element stack (`symstate._axis_angle`,
-`symstate._wigner_stack`), and averaging a maximizing product state over
-the detected symmetry group yields an invariant separable operator omega.
-Operators are plain Dicke-basis arrays: `group_average` returns omega and
-the Wigner stack, and `certify_equivalence` takes the trace, the least
-eigenvalue and the expectation in psi of the residual directly; every
-matrix they read is one the module built itself.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
+states along a direction are the coherent vectors, and averaging a
+maximizing product state over the detected symmetry group yields an
+invariant separable operator omega.  A rotation carries the coherent vector
+along u onto the one along its image up to a phase, so a finite group's
+omega is the mean of the coherent projectors over the orbit of u.
+Operators are plain Dicke-basis arrays: `group_average` returns omega, and
+`certify_equivalence` takes the trace, the least eigenvalue and the
+expectation in psi of the residual directly; every matrix they read is one
+the module built itself.  If the residual Delta = (omega - Lambda |psi><psi|) / (1 - Lambda)
 is a density matrix with no component on psi, then omega has the split that
 pins three entanglement measures of psi to the common value -log2(Lambda).
 
@@ -25,7 +25,8 @@ that transforms under the group the way psi does: psi's isotypic
 multiplicity is 1.  When a second such state phi exists, the average
 keeps <psi|omega|phi> = <psi|u><u|phi>, which is generally nonzero, so
 psi need not be an eigenvector of omega and Delta can fail positivity.
-`certify_equivalence` reports the multiplicity beside the four legs.
+`certify_equivalence` reports the multiplicity, read off the Wigner
+matrices of the group's generators, beside the four legs.
 """
 from __future__ import annotations
 
@@ -35,13 +36,19 @@ import numpy as np
 
 from .entanglement import EntanglementResult
 from .symmetry import O2, SO2, TRIVIAL, SymmetryReport
-from .symstate import (SymmetricState, _axis_angle, _frame, _wigner_stack, coherent_amplitudes,
-                       wigner_rotation)
+from .symstate import (SymmetricState, _frame, angles_to_unit, coherent_amplitudes,
+                       coherent_matrix, wigner_rotation)
 
 OVERLAP_TOL = 1e-6
 PSD_TOL = 1e-9
 RESIDUAL_COMPONENT_TOL = 1e-9
 TRACE_TOL = 1e-9
+
+# Eigenvalues of H (`_isotypic_multiplicity`) below this bound span psi's
+# joint eigenspace.  On the sweep in tests/test_twirl.py that space reaches
+# 2.5e-7 (D2(14,6) nudged by 1e-4; exact symmetries give 3e-15), and the rest
+# start at 2 - 2 cos(2 pi/64) = 0.0096 (GHZ64): two decades either side.
+_KERNEL_TOL = 5e-5
 
 
 @dataclass(frozen=True)
@@ -64,21 +71,22 @@ class TwirlCertificate:
 
 
 def group_average(direction: tuple[float, float], group: SymmetryReport,
-                  n: int) -> tuple[np.ndarray, np.ndarray | None]:
+                  n: int) -> np.ndarray:
     """Dicke-basis matrix of the average of the product state along
-    `direction` over the group action, with the stacked Wigner matrices of a
-    discrete group's elements (None for the axial kinds).
+    `direction` over the group action.
 
-    Discrete groups average their element stack; the axial groups dephase
-    in the excitation basis of the axis (the closed form of the continuous
-    average), with an extra flip average for the variant that has one.  The
-    result is an invariant convex mixture of product states, so it is
-    separable by construction.
+    Finite groups average the projectors onto the coherent vectors along
+    the direction's orbit; the axial groups dephase in the excitation
+    basis of the axis (the closed form of the continuous average), with an
+    extra flip average for the variant that has one.  The result is an
+    invariant convex mixture of product states, so it is separable by
+    construction.  Raises ValueError unless n is a positive integer and both
+    angles are finite.
     """
     theta, phi = float(direction[0]), float(direction[1])
     if group.kind == TRIVIAL:
         raise ValueError("averaging over the trivial group certifies nothing")
-    vec = coherent_amplitudes(n, theta, phi)
+    vec = coherent_amplitudes(n, theta, phi)  # also the gate on n and the angles
     if group.kind in (SO2, O2):
         align = _frame(n, group.axis)
         in_frame = align.conj().T @ vec
@@ -86,24 +94,23 @@ def group_average(direction: tuple[float, float], group: SymmetryReport,
         if group.kind == O2:
             flip = wigner_rotation(n, group.generators[0])
             omega = 0.5 * (omega + flip @ omega @ flip.conj().T)
-        return omega, None
+        return omega
     if not len(group.elements):
         raise ValueError(f"group kind {group.kind!r} carries no element stack")
-    mats = _wigner_stack(n, *_axis_angle(group.elements))
-    orbit = mats @ vec
-    return orbit.T @ orbit.conj() / len(mats), mats
+    orbit = coherent_matrix(n, group.elements @ angles_to_unit(theta, phi))
+    return orbit.T @ orbit.conj() / len(orbit)
 
 
-def _isotypic_multiplicity(amps: np.ndarray, mats: np.ndarray) -> int:
-    """Dimension of the symmetric states that transform like psi.
-
-    With chi_g = <psi|D(g)|psi>, the operator (1/|G|) sum conj(chi_g) D(g)
-    projects onto that space, so its trace is the dimension.  The factor
-    conj(chi_g) cancels the sign ambiguity of D(g) at odd n.
+def _isotypic_multiplicity(amps: np.ndarray, generators) -> int:
+    """Dimension of the symmetric states that transform like psi: the joint
+    eigenspace, with psi's eigenvalues chi_k = <psi|D_k|psi>, of the Wigner
+    matrices D_k of the generators, whose products give every element.  It
+    is the kernel of H = sum_k (D_k - chi_k)^dagger (D_k - chi_k), counted
+    below _KERNEL_TOL; chi_k comes from D_k, so D_k's sign at odd n cancels.
     """
-    chars = (mats @ amps) @ amps.conj()
-    traces = np.trace(mats, axis1=1, axis2=2)
-    return int(round(float((chars.conj() @ traces).real) / len(mats)))
+    mats = [wigner_rotation(amps.size - 1, generator) for generator in generators]
+    shifted = np.vstack([d - np.vdot(amps, d @ amps) * np.eye(amps.size) for d in mats])
+    return int(np.count_nonzero(np.linalg.eigvalsh(shifted.conj().T @ shifted) < _KERNEL_TOL))
 
 
 def certify_equivalence(state: SymmetricState, ent: EntanglementResult,
@@ -116,8 +123,8 @@ def certify_equivalence(state: SymmetricState, ent: EntanglementResult,
     failing, leads the `reason`.  It raises ValueError only where no
     certificate can be built: the trivial group, a product state
     (1 - Lambda = 0) and an unconverged measure (no maximizer).
-    The multiplicity is computed from the Wigner matrices the average
-    already built; it is 1 for the axial kinds, where psi is an
+    The multiplicity of a finite group comes from its generators' Wigner
+    matrices, at most two; it is 1 for the axial kinds, where psi is an
     eigenvector of the axial Jz and Jz has no repeated eigenvalue.
     """
     if not ent.converged:
@@ -126,9 +133,9 @@ def certify_equivalence(state: SymmetricState, ent: EntanglementResult,
     if lam >= 1.0 - 1e-12:
         raise ValueError("product state: 1 - Lambda vanishes and the "
                          "residual is undefined")
-    omega, mats = group_average((ent.theta, ent.phi), sym, state.n)
-    multiplicity = 1 if mats is None else _isotypic_multiplicity(state.amps, mats)
     psi = state.amps
+    omega = group_average((ent.theta, ent.phi), sym, state.n)
+    multiplicity = 1 if sym.kind in (SO2, O2) else _isotypic_multiplicity(psi, sym.generators)
     overlap = float(np.vdot(psi, omega @ psi).real)
     delta = (omega - lam * np.outer(psi, psi.conj())) / (1.0 - lam)
     min_eig = float(np.linalg.eigvalsh(delta)[0])

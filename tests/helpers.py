@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from majorana import MajoranaConfig, Rotation
+from majorana import MajoranaConfig, Rotation, wigner_rotation
 from majorana.catalog import platonic_vertices
 from majorana.symstate import unit_to_angles
 
@@ -45,6 +45,27 @@ def icosidodecahedron() -> np.ndarray:
     i, j = np.nonzero(np.triu(ico @ ico.T > 0.4, k=1))  # the 30 edges
     mid = ico[i] + ico[j]
     return mid / np.linalg.norm(mid, axis=1)[:, None]
+
+
+def isotypic_multiplicity(state, report) -> int:
+    """Dimension of the symmetric states that transform like psi under the
+    group: the trace of (1/|G|) sum_g conj(chi_g) D(g), chi_g = <psi|D(g)|psi>.
+
+    Each element's Wigner matrix is built on its own, from the `Rotation`
+    of its matrix.  The axial kinds carry no element stack; their cyclic
+    subgroup of order n+1 about the axis already gives every Jz eigenvalue
+    its own character, so its multiplicity, an upper bound for the whole
+    group's, is used.
+    """
+    n = state.n
+    elements = [Rotation.from_matrix(mat) for mat in report.elements]
+    if not elements:
+        elements = [Rotation(report.axis, 2 * math.pi * j / (n + 1)) for j in range(n + 1)]
+    total = 0j
+    for element in elements:
+        d = wigner_rotation(n, element)
+        total += np.conj(np.vdot(state.amps, d @ state.amps)) * np.trace(d)
+    return int(round(total.real / len(elements)))
 
 
 def rotate_points(config: MajoranaConfig, rotation: Rotation) -> MajoranaConfig:

@@ -29,7 +29,6 @@ from majorana import (
     state_fidelity,
     to_dicke,
     to_majorana,
-    wigner_rotation,
 )
 from majorana.catalog import (
     gen_dicke,
@@ -40,9 +39,8 @@ from majorana.catalog import (
     totally_invariant_states,
 )
 from majorana.slocc import INEQUIVALENT, UNDETERMINED
-from majorana.symstate import Rotation
 
-from helpers import perturb_config, random_rotation, rotate_points
+from helpers import isotypic_multiplicity, perturb_config, random_rotation, rotate_points
 
 
 def dicke_lambda(n: int, k: int) -> float:
@@ -123,27 +121,6 @@ def test_criterion_6_dihedral_catalog():
         assert report.label == expected, (m, p)
         assert report.totally_invariant, (m, p)
         assert contains_dihedral(config, m), (m, p)
-
-
-def isotypic_multiplicity(state, report) -> int:
-    """Dimension of the symmetric states that transform like psi under the
-    group: the trace of (1/|G|) sum_g conj(chi_g) D(g), chi_g = <psi|D(g)|psi>.
-
-    Each element's Wigner matrix is built on its own, from the `Rotation`
-    of its matrix.  The axial kinds carry no element stack; their cyclic
-    subgroup of order n+1 about the axis already gives every Jz eigenvalue
-    its own character, so its multiplicity, an upper bound for the whole
-    group's, is used.
-    """
-    n = state.n
-    elements = [Rotation.from_matrix(mat) for mat in report.elements]
-    if not elements:
-        elements = [Rotation(report.axis, 2 * math.pi * j / (n + 1)) for j in range(n + 1)]
-    total = 0j
-    for element in elements:
-        d = wigner_rotation(n, element)
-        total += np.conj(np.vdot(state.amps, d @ state.amps)) * np.trace(d)
-    return int(round(total.real / len(elements)))
 
 
 def distance_from_orbit_span(state, direction, report) -> float:

@@ -1,5 +1,6 @@
 """Spin operators, rotations on the symmetric subspace, twirl certificates."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,11 +21,14 @@ from majorana import (
     wigner_rotation,
     MajoranaConfig,
 )
-from majorana.catalog import gen_dicke, gen_dihedral, gen_ghz, gen_platonic, gen_tetrahedral
-from majorana.symstate import _axis_angle, _wigner_stack, spin_matrices
-from majorana.twirl import group_average
+from majorana.catalog import (MAX_MULTIPLICITY, SOLIDS, gen_dicke, gen_dihedral, gen_ghz,
+                              gen_platonic, gen_tetrahedral, totally_invariant_states)
+from majorana.symmetry import O2, SO2
+from majorana.symstate import spin_matrices
+from majorana.twirl import _KERNEL_TOL, group_average
 
-from helpers import config_of, cuboctahedron, icosidodecahedron, random_rotation
+from helpers import (config_of, cuboctahedron, icosidodecahedron, isotypic_multiplicity,
+                     perturb_config, random_rotation)
 
 
 def test_spin_commutators():
@@ -80,12 +84,17 @@ def test_wigner_conjugates_spin_vector_like_the_rotation():
             np.testing.assert_allclose(d @ d.conj().T, np.eye(n + 1), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2.5, True, -1, 0, 3.0])
+def test_wigner_rotation_rejects_bad_qubit_counts(n):
+    with pytest.raises(ValueError, match="qubit count must be a positive integer"):
+        wigner_rotation(n, Rotation(np.array([0.0, 0.0, 1.0]), 0.7))
+
+
 def test_group_average_axial_is_dephasing():
     state = gen_dicke(4, 1)
     ent = geometric_measure(state)
     report = detect_group(to_majorana(state))
-    omega, mats = group_average((ent.theta, ent.phi), report, 4)
-    assert mats is None
+    omega = group_average((ent.theta, ent.phi), report, 4)
     # averaging over rotations about z kills all off-diagonal terms
     off = omega - np.diag(np.diag(omega))
     assert np.abs(off).max() < 1e-12
@@ -99,7 +108,7 @@ def test_group_average_axial_is_dephasing():
         tilted = to_dicke(rotate(to_majorana(state), random_rotation(rng)))
         ent = geometric_measure(tilted)
         report = detect_group(to_majorana(tilted), tol=1e-4)
-        omega, _ = group_average((ent.theta, ent.phi), report, state.n)
+        omega = group_average((ent.theta, ent.phi), report, state.n)
         along = np.einsum("i,ijk->jk", report.axis, np.stack(spin_matrices(state.n)))
         np.testing.assert_allclose(omega @ along, along @ omega, atol=1e-10)
         assert abs(np.trace(omega).real - 1.0) < 1e-12
@@ -109,8 +118,8 @@ def test_group_average_discrete_properties():
     state = gen_ghz(4)
     ent = geometric_measure(state)
     report = detect_group(to_majorana(state))
-    omega, mats = group_average((ent.theta, ent.phi), report, 4)
-    assert mats.shape == (len(report.elements), 5, 5)
+    omega = group_average((ent.theta, ent.phi), report, 4)
+    assert omega.shape == (5, 5)
     assert abs(np.trace(omega).real - 1.0) < 1e-12
     assert np.linalg.eigvalsh(omega)[0] > -1e-12
     # invariance: conjugating by any group element leaves omega fixed
@@ -121,10 +130,8 @@ def test_group_average_discrete_properties():
 
 
 def test_group_average_discrete_matches_element_loop():
-    # the stacked average equals the element-by-element sum of D P D^dagger;
-    # each stacked Wigner matrix is the one-rotation matrix of its axis and
-    # angle, and within rounding that of its element's `Rotation` (whose
-    # constructor renormalises the axis, moving it by up to an ulp)
+    # the orbit's coherent projectors average to the element-by-element sum
+    # of D P D^dagger, each D built from its element's `Rotation`
     for state in (gen_ghz(5), gen_tetrahedral(), gen_dihedral(9, 3)):
         n = state.n
         ent = geometric_measure(state)
@@ -134,12 +141,19 @@ def test_group_average_discrete_matches_element_loop():
         rotations = [Rotation.from_matrix(mat) for mat in report.elements]
         expected = sum(wigner_rotation(n, g) @ projector @ wigner_rotation(n, g).conj().T
                        for g in rotations) / len(rotations)
-        omega, mats = group_average((ent.theta, ent.phi), report, n)
+        omega = group_average((ent.theta, ent.phi), report, n)
         np.testing.assert_allclose(omega, expected, atol=1e-13)
-        axes, angles = _axis_angle(report.elements)
-        for i, (mat, g) in enumerate(zip(mats, rotations)):
-            np.testing.assert_array_equal(mat, _wigner_stack(n, axes[i:i + 1], angles[i:i + 1])[0])
-            np.testing.assert_allclose(mat, wigner_rotation(n, g), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("source", ["D4", "SO(2)", "O(2)"])
+def test_group_average_validates_its_inputs(source):
+    state = {"D4": gen_ghz(4), "SO(2)": gen_dicke(4, 1), "O(2)": gen_dicke(4, 2)}[source]
+    report = detect_group(to_majorana(state))
+    assert report.label == source
+    for n, direction in ((4.0, (0.3, 0.4)), (True, (0.3, 0.4)), (4, (math.nan, 0.4)),
+                         (4, (0.3, math.inf))):
+        with pytest.raises(ValueError):
+            group_average(direction, report, n)
 
 
 def test_group_average_rejects_useless_groups():
@@ -154,6 +168,72 @@ def test_group_average_rejects_useless_groups():
     assert trivial.label == "Trivial"
     with pytest.raises(ValueError):
         group_average((0.3, 0.4), trivial, 4)
+
+
+def _multiplicity_sweep(rng):
+    """(name, state, detection tol): the finite-group states of the inventory
+    n = 3..14, every `gen_platonic` occupancy, GHZ_n and D(n, p) up to
+    n = 64, and of each a seeded rotation and two seeded point nudges."""
+    sources = [(entry.name, entry.state) for n in range(3, 15)
+               for entry in totally_invariant_states(n)
+               if detect_group(to_majorana(entry.state)).kind not in (SO2, O2)]
+    sources += [(f"{solid} x{m}", gen_platonic(solid, m))
+                for solid in SOLIDS for m in range(1, MAX_MULTIPLICITY[solid] + 1)]
+    for n in (16, 24, 32, 48, 64):
+        sources.append((f"GHZ{n}", gen_ghz(n)))
+        sources += [(f"D({n},{p})", gen_dihedral(n, p)) for p in (1, 3, (n - 3) // 2)]
+    cases = []
+    for name, state in sources:
+        config = to_majorana(state)
+        cases += [(name, state, 1e-6),
+                  (f"{name} turned", rotate_state(state, random_rotation(rng)), 1e-4)]
+        for delta in (1e-5, 1e-4):
+            nudged = perturb_config(config, int(rng.integers(state.n)), delta)
+            cases.append((f"{name} nudged {delta:g}", to_dicke(nudged), 10 * delta))
+    return cases
+
+
+def _generator_residual_spectrum(state, report):
+    """Eigenvalues of H = sum_k (D_k - chi_k)^dagger (D_k - chi_k) over the
+    report's generators, chi_k = <psi|D_k|psi>."""
+    n = state.n
+    residual = np.zeros((n + 1, n + 1), dtype=complex)
+    for generator in report.generators:
+        d = wigner_rotation(n, generator)
+        d = d - np.vdot(state.amps, d @ state.amps) * np.eye(n + 1)
+        residual += d.conj().T @ d
+    return np.linalg.eigvalsh(residual)
+
+
+def test_multiplicity_is_the_generators_joint_eigenspace():
+    # The certificate reads psi's multiplicity off at most two generators;
+    # on every finite group of the sweep it equals the element-loop trace,
+    # and H's spectrum splits at least two decades either side of the
+    # kernel bound: the kernel at most 2.5e-7, the rest at least GHZ64's
+    # 2 - 2 cos(2 pi/64).
+    rng = np.random.default_rng(33)
+    cases = _multiplicity_sweep(rng)
+    assert len(cases) == 336
+    kernel, rest, counts = 0.0, math.inf, Counter()
+    for name, state, tol in cases:
+        report = detect_group(to_majorana(state), tol=tol)
+        if len(report.elements) < 2:
+            counts["no finite group"] += 1
+            continue
+        ent = geometric_measure(state)
+        if not ent.converged:
+            counts["unconverged"] += 1
+            continue
+        reference = isotypic_multiplicity(state, report)
+        assert certify_equivalence(state, ent, report).multiplicity == reference, name
+        spectrum = _generator_residual_spectrum(state, report)
+        kernel, rest = max(kernel, spectrum[reference - 1]), min(rest, spectrum[reference])
+        counts["multiplicity 1" if reference == 1 else "multiplicity >= 2"] += 1
+    assert counts == {"multiplicity 1": 265, "multiplicity >= 2": 58,
+                      "no finite group": 12, "unconverged": 1}, counts
+    assert kernel <= 2.5e-7 <= _KERNEL_TOL / 100
+    assert 100 * _KERNEL_TOL <= rest
+    assert abs(rest - (2 - 2 * math.cos(2 * math.pi / 64))) < 1e-12
 
 
 def test_certificates_valid_for_known_states():
